@@ -48,13 +48,16 @@ std::optional<bool> env_flag_state(const char* name) {
     return env_value_truthy(v);
 }
 
-std::optional<std::uint64_t> env_positive_u64(const char* name) {
-    const char* v = std::getenv(name);
-    if (v == nullptr || v[0] == '\0') return std::nullopt;
+std::optional<std::uint64_t> parse_positive_u64(const char* text) {
+    if (text == nullptr || text[0] == '\0') return std::nullopt;
     char* end = nullptr;
-    const long long n = std::strtoll(v, &end, 10);
-    if (end == v || *end != '\0' || n <= 0) return std::nullopt;
+    const long long n = std::strtoll(text, &end, 10);
+    if (end == text || *end != '\0' || n <= 0) return std::nullopt;
     return static_cast<std::uint64_t>(n);
+}
+
+std::optional<std::uint64_t> env_positive_u64(const char* name) {
+    return parse_positive_u64(std::getenv(name));
 }
 
 }  // namespace dcft

@@ -1,11 +1,11 @@
 // Shared parsing of DCFT_* environment variables.
 //
 // Every boolean toggle the library reads from the environment
-// (DCFT_TELEMETRY, DCFT_NO_COMPILE, DCFT_NO_EXPLORE_CACHE, ...) goes
+// (DCFT_TELEMETRY, DCFT_NO_BATCH, DCFT_NO_EXPLORE_CACHE, ...) goes
 // through env_flag_enabled so they all agree on what "off" means. The
 // historical per-site parsers disagreed: one treated "00" as enabled,
-// another treated "false" as enabled — a user exporting
-// DCFT_NO_COMPILE=false got the compile path *disabled*. The shared rule:
+// another treated "false" as enabled — a user exporting a
+// DCFT_NO_*=false flag got that path *disabled*. The shared rule:
 //
 //   unset, "", "0", "00", "false", "off", "no"  (case-insensitive, any
 //   number of leading zeros)                    -> disabled
@@ -13,7 +13,8 @@
 //
 // Numeric knobs (DCFT_VERIFIER_THREADS, DCFT_EXPLORE_CACHE_CAP) go through
 // env_positive_u64: a strictly positive decimal integer, anything else
-// (unset, empty, junk, zero, negative) yields the caller's fallback.
+// (unset, empty, junk, zero, negative) yields the caller's fallback. The
+// CLI's size and worker arguments use the same parse_positive_u64.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +39,12 @@ bool env_value_truthy(const char* value);
 /// instead of silently overriding the environment.
 std::optional<bool> env_flag_state(const char* name);
 
-/// Parses `name` as a strictly positive decimal integer; returns nullopt
-/// when unset, empty, malformed, zero, or negative.
+/// Parses `text` as a strictly positive decimal integer; returns nullopt
+/// when null, empty, malformed (trailing junk included), zero, or negative.
+std::optional<std::uint64_t> parse_positive_u64(const char* text);
+
+/// parse_positive_u64 applied to the value of environment variable
+/// `name` (nullopt when unset).
 std::optional<std::uint64_t> env_positive_u64(const char* name);
 
 }  // namespace dcft

@@ -4,19 +4,10 @@
 #include <exception>
 
 #include "apps/catalog.hpp"
-#include "common/env.hpp"
 #include "obs/telemetry.hpp"
 #include "verify/tolerance_checker.hpp"
 
 namespace dcft::service {
-namespace {
-
-std::chrono::milliseconds batch_window() {
-    return std::chrono::milliseconds(
-        env_positive_u64("DCFT_SERVICE_BATCH_MS").value_or(0));
-}
-
-}  // namespace
 
 QueryScheduler::QueryScheduler(unsigned n_workers) {
     if (n_workers == 0) {
@@ -59,7 +50,6 @@ QueryScheduler::Admission QueryScheduler::verify(const std::string& system,
             job->size = size;
             job->graded = graded;
             job->future = job->promise.get_future().share();
-            job->ready_at = std::chrono::steady_clock::now() + batch_window();
             inflight_.emplace(key, job);
             queue_.push_back(job);
         }
@@ -78,23 +68,13 @@ void QueryScheduler::worker_loop() {
         std::shared_ptr<Job> job;
         {
             std::unique_lock<std::mutex> lock(mutex_);
-            for (;;) {
-                if (stop_ && queue_.empty()) return;
-                if (!paused_ && !queue_.empty()) {
-                    // Jobs become runnable after their admission window;
-                    // the queue is FIFO so the front has the earliest
-                    // deadline.
-                    const auto now = std::chrono::steady_clock::now();
-                    if (stop_ || queue_.front()->ready_at <= now) {
-                        job = queue_.front();
-                        queue_.pop_front();
-                        break;
-                    }
-                    cv_.wait_until(lock, queue_.front()->ready_at);
-                    continue;
-                }
-                cv_.wait(lock);
-            }
+            cv_.wait(lock, [this] {
+                return (stop_ && queue_.empty()) ||
+                       (!paused_ && !queue_.empty());
+            });
+            if (queue_.empty()) return;
+            job = queue_.front();
+            queue_.pop_front();
         }
 
         executed_.fetch_add(1, std::memory_order_relaxed);

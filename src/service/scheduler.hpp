@@ -21,10 +21,9 @@
 // every graph comes from the exploration cache (zero new explorations,
 // pinned by tools/service_smoke).
 //
-// Admission windows: a job becomes runnable DCFT_SERVICE_BATCH_MS
-// milliseconds after enqueue (default 0 — immediately), widening the
-// coalescing window under bursty arrival. set_paused(true) holds dispatch
-// entirely (the smoke test uses this to make coalescing deterministic).
+// Dispatch: a job is runnable as soon as it is enqueued. set_paused(true)
+// holds dispatch entirely (the smoke test uses this to make coalescing
+// deterministic).
 //
 // Stats are exposed twice: always via stats() (the daemon's "stats" op
 // must work without telemetry), and as service/scheduler/* counters when
@@ -32,7 +31,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -107,7 +105,6 @@ private:
         bool graded = false;
         std::shared_future<std::shared_ptr<const VerifyResult>> future;
         std::promise<std::shared_ptr<const VerifyResult>> promise;
-        std::chrono::steady_clock::time_point ready_at;
     };
 
     void worker_loop();

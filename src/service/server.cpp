@@ -14,6 +14,10 @@
 namespace dcft::service {
 namespace {
 
+/// Longest request line a connection buffers; past it the client gets
+/// one protocol-error line and is disconnected.
+constexpr std::size_t kMaxLineBytes = 64 * 1024;
+
 /// Writes the whole buffer, riding out partial writes and EINTR.
 /// MSG_NOSIGNAL turns a dead peer into an error instead of SIGPIPE.
 bool send_all(int fd, const std::string& data) {
@@ -110,7 +114,7 @@ void Server::accept_loop() {
         const int fd = ::accept(listen_fd_, nullptr, nullptr);
         if (fd < 0) {
             if (errno == EINTR) continue;
-            return;  // listener closed by wait() — we are done
+            return;  // listener shut down by wait() — we are done
         }
         std::lock_guard<std::mutex> lock(mutex_);
         if (stop_requested_) {
@@ -142,6 +146,11 @@ void Server::handle_connection(int fd) {
             }
         }
         buffer.erase(0, start);
+        if (buffer.size() > kMaxLineBytes) {
+            send_all(fd, error_response(Request{},
+                                        "request line exceeds 64 KiB"));
+            break;
+        }
     }
     ::close(fd);
     std::lock_guard<std::mutex> lock(mutex_);
@@ -245,16 +254,18 @@ void Server::wait() {
         finished_ = true;
     }
     if (!started_) return;
-    // Closing the listener pops accept_loop out of accept(); shutting the
-    // client sockets pops connection threads out of recv().
+    // Shutting the listener down pops accept_loop out of accept(); only
+    // after the accept thread has joined is the descriptor closed, so the
+    // thread never reads a reset listen_fd_ or a reused descriptor number.
+    // Shutting the client sockets pops connection threads out of recv().
     ::shutdown(listen_fd_, SHUT_RDWR);
+    accept_thread_.join();
     ::close(listen_fd_);
     listen_fd_ = -1;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         for (const int fd : client_fds_) ::shutdown(fd, SHUT_RDWR);
     }
-    accept_thread_.join();
     for (std::thread& t : connections_) t.join();
     ::unlink(options_.socket_path.c_str());
 }

@@ -5,14 +5,9 @@
 #include <numeric>
 
 #include "common/check.hpp"
-#include "common/env.hpp"
 #include "obs/telemetry.hpp"
 
 namespace dcft {
-
-bool compile_disabled() {
-    return env_flag_enabled("DCFT_NO_COMPILE");
-}
 
 // ---------------------------------------------------------------------------
 // GuardCode: compile + eval
@@ -410,11 +405,6 @@ CompiledProgram::CompiledProgram(const Program& program,
                      "CompiledProgram: fault class over a different space");
         faults_ = std::make_unique<CompiledActionSet>(cs_, faults->actions());
     }
-}
-
-void CompiledProgram::ensure_guard_bits() const {
-    program_.ensure_guard_bits();
-    if (faults_ != nullptr) faults_->ensure_guard_bits();
 }
 
 }  // namespace dcft

@@ -17,12 +17,12 @@
 //     stride-delta arithmetic on the packed index; kGeneric effects call
 //     the original statement.
 //
-// Compiled and interpreted paths are semantically identical by
-// construction (structured effects generate their interpreted lambda from
-// the same fields; guards always agree with Predicate::eval) and the
-// differential tests pin successor sequences bit-for-bit. Set
-// DCFT_NO_COMPILE=1 to force every consumer back onto the interpreted
-// path — the differential oracle.
+// Compiled kernels are semantically identical to Action::successors and
+// Predicate::eval by construction (structured effects generate their
+// interpreted lambda from the same fields; guards always agree with
+// Predicate::eval); action_kernel_test pins successor sequences
+// bit-for-bit, and the fuzz matrix checks whole graphs against the
+// reference explorer (verify/reference.hpp).
 #pragma once
 
 #include <cstdint>
@@ -37,11 +37,6 @@
 #include "gc/program.hpp"
 
 namespace dcft {
-
-/// True iff DCFT_NO_COMPILE is set (non-empty, not "0"): consumers must
-/// use the interpreted Action/Predicate path. Re-read on every call so
-/// tests can flip it per scope.
-bool compile_disabled();
 
 /// Postfix bytecode for one guard predicate. Compiled from the structural
 /// metadata of a Predicate; opaque subtrees become kCall ops.
@@ -201,7 +196,6 @@ public:
                       std::span<const Action> actions);
 
     const CompiledSpace& cspace() const { return *cs_; }
-    std::shared_ptr<const CompiledSpace> cspace_ptr() const { return cs_; }
 
     std::span<const CompiledAction> actions() const { return actions_; }
     std::size_t size() const { return actions_.size(); }
@@ -232,13 +226,9 @@ public:
     CompiledProgram(const Program& program, const FaultClass* faults);
 
     const CompiledSpace& cspace() const { return *cs_; }
-    std::shared_ptr<const CompiledSpace> cspace_ptr() const { return cs_; }
     const CompiledActionSet& program_actions() const { return program_; }
     bool has_faults() const { return faults_ != nullptr; }
     const CompiledActionSet& fault_actions() const { return *faults_; }
-
-    /// Precomputes all guard bitsets (program + faults).
-    void ensure_guard_bits() const;
 
 private:
     std::shared_ptr<const CompiledSpace> cs_;

@@ -16,29 +16,21 @@ CheckResult check_preserved_by(const StateSpace& space,
                                const Predicate& s, const char* what) {
     // Evaluate the predicate exactly once per state, then test membership
     // of every successor with bit probes instead of repeated evaluation.
-    // Guards and effects run compiled (bytecode + stride arithmetic)
-    // unless DCFT_NO_COMPILE forces the interpreted oracle.
+    // Guards and effects run compiled (bytecode + stride arithmetic).
     const BitVec s_bits = eval_bits(space, s);
-    std::unique_ptr<CompiledActionSet> compiled;
-    if (!compile_disabled()) {
-        // Non-owning alias: the set lives only inside this call.
-        std::shared_ptr<const StateSpace> sp(std::shared_ptr<void>{}, &space);
-        compiled = std::make_unique<CompiledActionSet>(std::move(sp), actions);
-    }
+    // Non-owning alias: the set lives only inside this call.
+    std::shared_ptr<const StateSpace> sp(std::shared_ptr<void>{}, &space);
+    const CompiledActionSet compiled(std::move(sp), actions);
     std::vector<StateIndex> succ;
     CheckResult result = CheckResult::success();
     s_bits.for_each_set([&](std::uint64_t st_raw) {
         if (!result.ok) return;
         const StateIndex st = static_cast<StateIndex>(st_raw);
         for (std::size_t ai = 0; ai < actions.size(); ++ai) {
+            const CompiledAction& ka = compiled[ai];
+            if (!ka.enabled(st)) continue;
             succ.clear();
-            if (compiled != nullptr) {
-                const CompiledAction& ka = (*compiled)[ai];
-                if (!ka.enabled(st)) continue;
-                ka.successors(st, succ);
-            } else {
-                actions[ai].successors(space, st, succ);
-            }
+            ka.successors(st, succ);
             for (StateIndex t : succ) {
                 if (!s_bits.test(t)) {
                     result = CheckResult::failure(

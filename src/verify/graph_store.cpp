@@ -155,11 +155,6 @@ void hash_action(KeyHasher& h, const StateSpace& space, const Action& act) {
     }
 }
 
-bool verify_payload_enabled() {
-    // Opt-out knob: DCFT_GRAPH_STORE_VERIFY=0 skips the payload scan.
-    return env_flag_state("DCFT_GRAPH_STORE_VERIFY").value_or(true);
-}
-
 }  // namespace
 
 std::string GraphKey::hex() const {
@@ -339,9 +334,8 @@ std::shared_ptr<TransitionSystem> GraphStore::load(const GraphKey& key,
         return reject(std::move(why));
     };
 
-    if (verify_payload_enabled() &&
-        hdr.payload_checksum !=
-            checksum_words(bytes + kPage, file_size - kPage))
+    if (hdr.payload_checksum !=
+        checksum_words(bytes + kPage, file_size - kPage))
         return reject_mapped("payload checksum mismatch");
 
     // Fault-action names (copied, self-delimited u32 length prefixes).
@@ -369,7 +363,8 @@ std::shared_ptr<TransitionSystem> GraphStore::load(const GraphKey& key,
     {
         const SectionEntry& sec = hdr.sections[kSecInitial];
         arrays.initial.resize(hdr.num_initial);
-        std::memcpy(arrays.initial.data(), bytes + sec.offset, sec.bytes);
+        if (sec.bytes != 0)  // an empty vector's data() may be null
+            std::memcpy(arrays.initial.data(), bytes + sec.offset, sec.bytes);
     }
     ::munmap(whole, file_size);
 

@@ -17,7 +17,7 @@
 //                     name, guard name, the structured EffectForm fields,
 //                     and a semantic sample — the successor sets of 64
 //                     deterministic pseudo-random states per action,
-//                     computed through the interpreted path
+//                     computed with Action::successors
 //   fault class       same, when present (plus a presence flag)
 //   initial set       FNV-1a over the materialized bit words + popcount
 //
@@ -38,8 +38,7 @@
 // Loads validate all of it before adopting a single byte: a truncated,
 // corrupted, or version-skewed file is *rejected* (nullptr + counter +
 // reason), never crashed on and never served as a silently wrong graph.
-// DCFT_GRAPH_STORE_VERIFY=0 skips the payload checksum scan for callers
-// that prefer pure-mmap latency over end-to-end integrity.
+// The payload checksum is scanned on every load.
 #pragma once
 
 #include <cstdint>

@@ -221,10 +221,7 @@ CheckResult refines_program(const Program& p_prime, const Program& p,
     const TransitionSystem& ts = *ts_ptr;
     // Compile the base program's actions once: the matching loop below
     // enumerates their successors for every non-stuttering step of p'.
-    std::unique_ptr<CompiledActionSet> base_compiled;
-    if (!compile_disabled())
-        base_compiled =
-            std::make_unique<CompiledActionSet>(p.space_ptr(), p.actions());
+    const CompiledActionSet base_compiled(p.space_ptr(), p.actions());
     std::vector<StateIndex> base_succ;
     for (NodeId n = 0; n < ts.num_nodes(); ++n) {
         const StateIndex s = ts.state_of(n);
@@ -236,12 +233,8 @@ CheckResult refines_program(const Program& p_prime, const Program& p,
             bool matched = false;
             for (std::size_t ai = 0; ai < p.actions().size(); ++ai) {
                 base_succ.clear();
-                if (base_compiled != nullptr) {
-                    const CompiledAction& ka = (*base_compiled)[ai];
-                    if (ka.enabled(s)) ka.successors(s, base_succ);
-                } else {
-                    p.actions()[ai].successors(space, s, base_succ);
-                }
+                const CompiledAction& ka = base_compiled[ai];
+                if (ka.enabled(s)) ka.successors(s, base_succ);
                 for (StateIndex u : base_succ) {
                     if (space.project(u, pvars) == tp) {
                         matched = true;

@@ -1,15 +1,15 @@
 // The shared DCFT_* environment parsing rule (common/env.hpp): one
 // truthiness table for every boolean flag, one positive-integer parser for
-// every numeric knob — and the consumers (telemetry, compile gate,
-// exploration cache) all observe the shared rule, including the historical
-// bugs it fixes ("00" and "false" used to count as enabled).
+// every numeric knob and command-line count — and the consumers
+// (telemetry, exploration cache) all observe the shared rule, including
+// the historical bugs it fixes ("00" and "false" used to count as
+// enabled).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 
 #include "common/env.hpp"
 #include "obs/telemetry.hpp"
-#include "verify/action_kernel.hpp"
 #include "verify/exploration_cache.hpp"
 
 namespace dcft {
@@ -55,6 +55,16 @@ TEST(EnvTest, FlagReadsEnvironment) {
     unsetenv("DCFT_ENV_TEST_FLAG");
 }
 
+TEST(EnvTest, ParsePositiveU64) {
+    EXPECT_EQ(parse_positive_u64(nullptr), std::nullopt);
+    EXPECT_EQ(parse_positive_u64(""), std::nullopt);
+    EXPECT_EQ(parse_positive_u64("abc"), std::nullopt);
+    EXPECT_EQ(parse_positive_u64("0"), std::nullopt);
+    EXPECT_EQ(parse_positive_u64("12junk"), std::nullopt);
+    EXPECT_EQ(parse_positive_u64("-3"), std::nullopt);
+    EXPECT_EQ(parse_positive_u64("7"), 7u);
+}
+
 TEST(EnvTest, PositiveU64) {
     unsetenv("DCFT_ENV_TEST_NUM");
     EXPECT_EQ(env_positive_u64("DCFT_ENV_TEST_NUM"), std::nullopt);
@@ -76,17 +86,6 @@ TEST(EnvTest, PositiveU64) {
 }
 
 // -- consumers observe the shared rule (the historical divergences) --------
-
-TEST(EnvTest, CompileGateTreatsFalseAndDoubleZeroAsDisabled) {
-    setenv("DCFT_NO_COMPILE", "false", 1);
-    EXPECT_FALSE(compile_disabled());
-    setenv("DCFT_NO_COMPILE", "00", 1);
-    EXPECT_FALSE(compile_disabled());
-    setenv("DCFT_NO_COMPILE", "1", 1);
-    EXPECT_TRUE(compile_disabled());
-    unsetenv("DCFT_NO_COMPILE");
-    EXPECT_FALSE(compile_disabled());
-}
 
 TEST(EnvTest, ExplorationCacheGateTreatsFalseAndDoubleZeroAsDisabled) {
     setenv("DCFT_NO_EXPLORE_CACHE", "false", 1);

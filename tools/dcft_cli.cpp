@@ -29,6 +29,7 @@
 // same knobs work on binaries launched by scripts or ctest. Contradictory
 // requests fail fast instead of silently doing nothing: --report/--trace
 // with DCFT_TELEMETRY explicitly falsy, or --progress=0, are errors.
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -399,6 +400,16 @@ int cmd_simulate(const std::string& name, int size, const FlagMap& flags) {
     return finish_trace(trace_path);
 }
 
+/// Parses a positional size argument: "abc", "0" and "12junk" print a
+/// usage error and return 0 instead of falling back to the default size.
+int parse_size(const char* text) {
+    const std::optional<std::uint64_t> n = parse_positive_u64(text);
+    if (n.has_value() && *n <= static_cast<std::uint64_t>(INT_MAX))
+        return static_cast<int>(*n);
+    std::fprintf(stderr, "error: size must be a positive integer\n");
+    return 0;
+}
+
 const std::vector<FlagSpec> kClientFlags = {
     {"socket", true}, {"id", true}, {"graded", false}};
 
@@ -420,8 +431,10 @@ int cmd_client(int argc, char** argv) {
             return 2;
         }
         system = argv[arg++];
-        if (arg < argc && argv[arg][0] != '-')
-            size = std::atoi(argv[arg++]);
+        if (arg < argc && argv[arg][0] != '-') {
+            size = parse_size(argv[arg++]);
+            if (size == 0) return 2;
+        }
     } else if (op != "ping" && op != "list" && op != "stats" &&
                op != "shutdown") {
         std::fprintf(stderr, "unknown client op '%s'\n", op.c_str());
@@ -496,7 +509,10 @@ int main(int argc, char** argv) {
         const std::string system = argv[2];
         int size = 0;
         int arg = 3;
-        if (arg < argc && argv[arg][0] != '-') size = std::atoi(argv[arg++]);
+        if (arg < argc && argv[arg][0] != '-') {
+            size = parse_size(argv[arg++]);
+            if (size == 0) return 2;
+        }
         FlagMap flags;
         std::string error;
         if (!parse_flags(argc, argv, arg,

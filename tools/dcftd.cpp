@@ -21,13 +21,14 @@
 // verify/explorations and verify/graph_store/*, the numbers the service
 // smoke asserts coalescing with.
 #include <atomic>
+#include <climits>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
 
+#include "common/env.hpp"
 #include "obs/telemetry.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
@@ -40,8 +41,13 @@ int main(int argc, char** argv) {
         if (arg == "--socket" && i + 1 < argc) {
             options.socket_path = argv[++i];
         } else if (arg == "--workers" && i + 1 < argc) {
-            options.workers =
-                static_cast<unsigned>(std::atoi(argv[++i]));
+            const auto n = dcft::parse_positive_u64(argv[++i]);
+            if (!n.has_value() || *n > UINT_MAX) {
+                std::fprintf(stderr, "dcftd: error: --workers must be a "
+                                     "positive integer\n");
+                return 2;
+            }
+            options.workers = static_cast<unsigned>(*n);
         } else if (arg == "--telemetry") {
             dcft::obs::set_enabled(true);
         } else if (arg == "--help" || arg == "-h") {

@@ -12,7 +12,7 @@
 //    distinct query does explore.
 //  * Protocol: ping/list/stats answer ok with well-formed envelopes;
 //    malformed input gets an error response without dropping the
-//    connection's server.
+//    connection's server, and so does a line past the 64 KiB cap.
 //  * Sockets: a stale socket file left by a crashed daemon does not
 //    block startup (probe-connect finds it dead, unlinks, binds); a
 //    second daemon on a LIVE socket refuses to start and leaves the
@@ -209,6 +209,11 @@ int main() {
     check(!response_ok(bad) &&
               bad.find("error", JsonValue::Kind::String) != nullptr,
           "malformed input gets an error response");
+    const JsonValue too_long = ask(socket_path, std::string(70000, 'x'));
+    const auto* cap_error = too_long.find("error", JsonValue::Kind::String);
+    check(cap_error != nullptr &&
+              cap_error->as_string().find("exceeds") != std::string::npos,
+          "a line past the 64 KiB cap gets a protocol error");
     for (const JsonValue* doc : {&repeat, &listed, &stats_doc}) {
         const auto* schema = doc->find("schema", JsonValue::Kind::String);
         check(schema != nullptr && schema->as_string() == "dcft.report",
