@@ -241,7 +241,7 @@ BitVec eval_bits(const StateSpace& space, const Predicate& p,
         obs::count("verify/predicate_eval/backed_hits");
         return *bits;
     }
-    const obs::ScopedSpan span("verify/predicate_eval");
+    const obs::Span span("verify/predicate_eval");
     obs::count("verify/predicate_eval/bulk_scans");
     obs::count("verify/predicate_eval/states_scanned", n);
     BitVec out(n);

@@ -10,6 +10,7 @@
 #include <string>
 #include <thread>
 
+#include "common/env.hpp"
 #include "obs/proc_stats.hpp"
 #include "obs/telemetry.hpp"
 
@@ -57,22 +58,25 @@ ProgressState& state() {
     return *s;
 }
 
+/// A sample interval in seconds as whole microseconds (at least 1); 0,
+/// i.e. disabled, when it is not positive or does not fit (inf, nan).
+std::uint64_t to_interval_us(double seconds) {
+    const double us = seconds * 1e6;
+    if (!(us > 0.0 && us < 1.8e19)) return 0;
+    return std::max<std::uint64_t>(1, static_cast<std::uint64_t>(us));
+}
+
 /// Parses DCFT_PROGRESS as seconds; truthiness follows the shared env
-/// rule (unset/""/"0"/"false"/"off"/"no" = disabled). Non-numeric truthy
-/// values ("on", "true") get the default interval.
-double env_interval_seconds() {
+/// rule (common/env.hpp: unset/""/"0"/"false"/"off"/"no", any case, =
+/// disabled). Non-numeric truthy values ("on", "true") get the default
+/// interval.
+std::uint64_t env_interval_us() {
     const char* v = std::getenv("DCFT_PROGRESS");
-    if (v == nullptr || *v == '\0') return 0.0;
+    if (!env_value_truthy(v)) return 0;
     char* end = nullptr;
     const double secs = std::strtod(v, &end);
-    if (end != v && *end == '\0')
-        return secs > 0.0 ? secs : 0.0;
-    // Not a number: fall back to the boolean rule.
-    const std::string s(v);
-    if (s == "0" || s == "false" || s == "off" || s == "no" ||
-        s == "False" || s == "Off" || s == "No" || s == "FALSE")
-        return 0.0;
-    return kDefaultIntervalSec;
+    const bool numeric = end != v && *end == '\0';
+    return to_interval_us(numeric ? secs : kDefaultIntervalSec);
 }
 
 std::string fmt_count(std::uint64_t n) {
@@ -228,11 +232,9 @@ bool progress_enabled() {
     auto& s = state();
     int v = s.resolved.load(std::memory_order_relaxed);
     if (v < 0) {
-        const double secs = env_interval_seconds();
-        const int on = secs > 0.0 ? 1 : 0;
-        if (on)
-            s.interval_us.store(static_cast<std::uint64_t>(secs * 1e6),
-                                std::memory_order_relaxed);
+        const std::uint64_t us = env_interval_us();
+        const int on = us > 0 ? 1 : 0;
+        if (on) s.interval_us.store(us, std::memory_order_relaxed);
         int expected = -1;
         s.resolved.compare_exchange_strong(expected, on,
                                            std::memory_order_relaxed);
@@ -243,9 +245,8 @@ bool progress_enabled() {
 
 void set_progress_interval(double seconds) {
     auto& s = state();
-    if (seconds > 0.0) {
-        s.interval_us.store(static_cast<std::uint64_t>(seconds * 1e6),
-                            std::memory_order_relaxed);
+    if (const std::uint64_t us = to_interval_us(seconds); us > 0) {
+        s.interval_us.store(us, std::memory_order_relaxed);
         s.resolved.store(1, std::memory_order_relaxed);
         ensure_sampler();
     } else {

@@ -28,7 +28,7 @@ namespace dcft::obs {
 bool progress_enabled();
 
 /// Enables the heartbeat with the given sample interval (seconds); <= 0
-/// disables it. Overrides the environment. Starts the sampler thread on
+/// or non-finite disables it. Overrides the environment. Starts the sampler thread on
 /// first enable.
 void set_progress_interval(double seconds);
 

@@ -1,42 +1,50 @@
 #include "obs/telemetry.hpp"
 
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/env.hpp"
+#include "obs/trace.hpp"
 
 namespace dcft::obs {
 namespace {
 
-/// -1 = not yet resolved from the environment; 0/1 = off/on.
-std::atomic<int>& enabled_state() {
-    static std::atomic<int> state{-1};
-    return state;
+constexpr unsigned kUnresolved = ~0u;
+
+/// Both sink gates in one word, so a disabled span is one relaxed load.
+std::atomic<unsigned>& gates() {
+    static std::atomic<unsigned> word{kUnresolved};
+    return word;
 }
 
-int resolve_from_env() {
-    return env_flag_enabled("DCFT_TELEMETRY") ? 1 : 0;
+void set_sink(unsigned sink, bool on) {
+    active_sinks();  // resolve the other gate from the environment first
+    if (on)
+        gates().fetch_or(sink, std::memory_order_relaxed);
+    else
+        gates().fetch_and(~sink, std::memory_order_relaxed);
 }
 
 }  // namespace
 
-bool enabled() {
-    int v = enabled_state().load(std::memory_order_relaxed);
-    if (v < 0) {
-        v = resolve_from_env();
-        int expected = -1;
-        // First caller publishes; a concurrent set_enabled() wins.
-        enabled_state().compare_exchange_strong(expected, v,
-                                                std::memory_order_relaxed);
-        v = enabled_state().load(std::memory_order_relaxed);
+unsigned active_sinks() {
+    unsigned g = gates().load(std::memory_order_relaxed);
+    if (g == kUnresolved) {
+        unsigned from_env = 0;
+        if (env_flag_enabled("DCFT_TELEMETRY")) from_env |= kAggregateSink;
+        if (env_flag_enabled("DCFT_TRACE")) from_env |= kEventSink;
+        // First caller publishes; set_sink() resolves before it writes.
+        gates().compare_exchange_strong(g, from_env,
+                                        std::memory_order_relaxed);
+        g = gates().load(std::memory_order_relaxed);
     }
-    return v == 1;
+    return g;
 }
 
-void set_enabled(bool on) {
-    enabled_state().store(on ? 1 : 0, std::memory_order_relaxed);
-}
+void set_enabled(bool on) { set_sink(kAggregateSink, on); }
+
+bool trace_enabled() { return (active_sinks() & kEventSink) != 0; }
+
+void set_trace_enabled(bool on) { set_sink(kEventSink, on); }
 
 std::uint64_t now_ns() {
     return static_cast<std::uint64_t>(
@@ -55,7 +63,8 @@ Counter& Registry::counter(std::string_view path) {
     auto it = counters_.find(path);
     if (it == counters_.end()) {
         it = counters_
-                 .emplace(std::string(path), std::make_unique<Counter>())
+                 .emplace(std::string(path),
+                          std::make_unique<Counter>(trace_name(path)))
                  .first;
     }
     return *it->second;
@@ -65,7 +74,9 @@ Timer& Registry::timer(std::string_view path) {
     const std::lock_guard<std::mutex> lock(mutex_);
     auto it = timers_.find(path);
     if (it == timers_.end()) {
-        it = timers_.emplace(std::string(path), std::make_unique<Timer>())
+        it = timers_
+                 .emplace(std::string(path),
+                          std::make_unique<Timer>(trace_name(path)))
                  .first;
     }
     return *it->second;
@@ -93,6 +104,26 @@ void Registry::reset() {
     const std::lock_guard<std::mutex> lock(mutex_);
     for (auto& [path, counter] : counters_) counter->set(0);
     for (auto& [path, timer] : timers_) timer->reset();
+}
+
+void event(std::string_view path, std::uint64_t arg) {
+    const unsigned sinks = active_sinks();
+    if (sinks == 0) return;
+    Counter& counter = Registry::global().counter(path);
+    if ((sinks & kAggregateSink) != 0) counter.add(1);
+    if ((sinks & kEventSink) != 0) trace_instant(counter.trace_name(), arg);
+}
+
+void Span::open(unsigned sinks, std::string_view path, std::uint64_t arg) {
+    timer_ = &Registry::global().timer(path);
+    sinks_ = sinks;
+    if ((sinks & kEventSink) != 0) trace_begin(timer_->trace_name(), arg);
+    if ((sinks & kAggregateSink) != 0) start_ns_ = now_ns();
+}
+
+void Span::close() {
+    if ((sinks_ & kAggregateSink) != 0) timer_->add(now_ns() - start_ns_);
+    if ((sinks_ & kEventSink) != 0) trace_end(timer_->trace_name());
 }
 
 }  // namespace dcft::obs

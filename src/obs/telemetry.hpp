@@ -1,13 +1,15 @@
-// Unified telemetry: named atomic counters and scoped span timers with a
-// hierarchical phase tree (src/obs/, see DESIGN.md §8).
+// Unified telemetry: named atomic counters, and the one instrumentation
+// primitive (obs::Span / obs::event) that feeds both the aggregate timers
+// here and the event trace of obs/trace.hpp (src/obs/, see DESIGN.md §8).
 //
 // Design constraints, in order:
-//  1. Near-zero overhead when disabled. Every recording helper first loads
-//     one relaxed atomic bool (`enabled()`); when telemetry is off that load
-//     is the *entire* cost, so the verifier's hot loops stay at their PR 1
-//     speeds. Hot paths additionally accumulate into local variables and
-//     flush once per phase, so even the enabled path never puts an atomic
-//     RMW inside a per-state loop.
+//  1. Near-zero overhead when disabled. Both sinks — aggregate (counters,
+//     timers) and event (trace) — are gated by bits of ONE relaxed atomic
+//     word (`active_sinks()`); when both are off that load is the *entire*
+//     cost of a span or event, so the verifier's hot loops stay at their
+//     uninstrumented speeds. Hot paths additionally accumulate into local
+//     variables and flush once per phase, so even the enabled path never
+//     puts an atomic RMW inside a per-state loop.
 //  2. Thread-safe. The registry is a mutex-guarded map from path to a
 //     heap-stable Counter/Timer whose cells are std::atomic — concurrent
 //     checker threads and simulator workers record without coordination
@@ -21,11 +23,14 @@
 // Naming convention: '/'-separated lower_snake paths whose prefixes form
 // the phase tree, e.g. "verify/explore/level", "verify/closure",
 // "sim/step", "synth/fixpoint". RunReport (obs/run_report.hpp) serializes
-// the tree from these paths.
+// the tree from these paths. A span or event uses its path as its trace
+// event name too: the registry entry carries the interned trace id, so one
+// lookup serves both sinks and the two views line up term for term.
 //
-// Enabling: the DCFT_TELEMETRY environment variable (any value except
-// "0"/"" enables; read once, at first use) or set_enabled(true) from code
-// (dcft_cli --report does this).
+// Enabling: the DCFT_TELEMETRY environment variable (any truthy value, see
+// common/env.hpp; read once, at first use) or set_enabled(true) from code
+// (dcft_cli --report does this). The event sink has its own twins,
+// DCFT_TRACE and set_trace_enabled() (obs/trace.hpp).
 #pragma once
 
 #include <atomic>
@@ -39,9 +44,18 @@
 
 namespace dcft::obs {
 
-/// Is telemetry collection on? One relaxed atomic load (after the first
-/// call, which consults DCFT_TELEMETRY).
-bool enabled();
+/// The instrumentation sinks, as bits of the word active_sinks() returns.
+enum Sink : unsigned {
+    kAggregateSink = 1u,  ///< Counters and timers (this header).
+    kEventSink = 2u,      ///< Begin/end/instant events (obs/trace.hpp).
+};
+
+/// Bitwise OR of the sinks that are on. One relaxed atomic load (after the
+/// first call, which consults DCFT_TELEMETRY and DCFT_TRACE).
+unsigned active_sinks();
+
+/// Is telemetry collection (the aggregate sink) on?
+inline bool enabled() { return (active_sinks() & kAggregateSink) != 0; }
 
 /// Programmatic override of the DCFT_TELEMETRY toggle (tests, --report).
 void set_enabled(bool on);
@@ -50,6 +64,7 @@ void set_enabled(bool on);
 /// registry stay valid for the process lifetime.
 class Counter {
 public:
+    explicit Counter(std::uint32_t trace_name) : trace_name_(trace_name) {}
     void add(std::uint64_t delta = 1) {
         value_.fetch_add(delta, std::memory_order_relaxed);
     }
@@ -65,14 +80,18 @@ public:
     std::uint64_t value() const {
         return value_.load(std::memory_order_relaxed);
     }
+    /// The trace event name id of this counter's path.
+    std::uint32_t trace_name() const { return trace_name_; }
 
 private:
     std::atomic<std::uint64_t> value_{0};
+    const std::uint32_t trace_name_;
 };
 
 /// Accumulated wall time and call count for one phase path.
 class Timer {
 public:
+    explicit Timer(std::uint32_t trace_name) : trace_name_(trace_name) {}
     void add(std::uint64_t ns, std::uint64_t calls = 1) {
         ns_.fetch_add(ns, std::memory_order_relaxed);
         calls_.fetch_add(calls, std::memory_order_relaxed);
@@ -86,10 +105,13 @@ public:
         ns_.store(0, std::memory_order_relaxed);
         calls_.store(0, std::memory_order_relaxed);
     }
+    /// The trace event name id of this timer's path.
+    std::uint32_t trace_name() const { return trace_name_; }
 
 private:
     std::atomic<std::uint64_t> ns_{0};
     std::atomic<std::uint64_t> calls_{0};
+    const std::uint32_t trace_name_;
 };
 
 /// Process-wide registry of counters and timers, keyed by phase path.
@@ -98,8 +120,9 @@ public:
     /// The process registry every recording helper targets.
     static Registry& global();
 
-    /// Counter/timer at `path`, created on first use. Thread-safe; the
-    /// returned reference is stable for the registry's lifetime.
+    /// Counter/timer at `path`, created on first use (which also interns
+    /// `path` as a trace event name). Thread-safe; the returned reference
+    /// is stable for the registry's lifetime.
     Counter& counter(std::string_view path);
     Timer& timer(std::string_view path);
 
@@ -147,26 +170,36 @@ inline void record(std::string_view path, std::uint64_t v) {
 /// Monotonic clock reading in nanoseconds (steady).
 std::uint64_t now_ns();
 
-/// RAII span timer: measures its own lifetime into the timer at `path`.
-/// When telemetry is disabled at construction the span is inert (one
-/// relaxed load, no clock read).
-class ScopedSpan {
+/// One occurrence of a named event: adds 1 to the counter at `path`
+/// (aggregate sink) and records an instant named `path` carrying `arg`
+/// (event sink). When both sinks are off the cost is one relaxed load.
+void event(std::string_view path, std::uint64_t arg = 0);
+
+/// RAII instrumentation span, the one primitive for both sinks. With the
+/// aggregate sink on it adds its lifetime to the timer at `path`; with the
+/// event sink on it records a begin/end pair named `path` (the begin
+/// carries `arg`). The sinks are sampled once at construction, so a span
+/// always closes what it opened. With both off the span is inert: one
+/// relaxed load, no lookup, no clock read.
+class Span {
 public:
-    explicit ScopedSpan(std::string_view path) {
-        if (enabled()) {
-            timer_ = &Registry::global().timer(path);
-            start_ns_ = now_ns();
-        }
+    explicit Span(std::string_view path, std::uint64_t arg = 0) {
+        if (const unsigned sinks = active_sinks(); sinks != 0)
+            open(sinks, path, arg);
     }
-    ~ScopedSpan() {
-        if (timer_ != nullptr) timer_->add(now_ns() - start_ns_);
+    ~Span() {
+        if (timer_ != nullptr) close();
     }
-    ScopedSpan(const ScopedSpan&) = delete;
-    ScopedSpan& operator=(const ScopedSpan&) = delete;
+    Span(const Span&) = delete;
+    Span& operator=(const Span&) = delete;
 
 private:
+    void open(unsigned sinks, std::string_view path, std::uint64_t arg);
+    void close();
+
     Timer* timer_ = nullptr;
     std::uint64_t start_ns_ = 0;
+    unsigned sinks_ = 0;
 };
 
 }  // namespace dcft::obs

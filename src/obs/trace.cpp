@@ -7,28 +7,20 @@
 #include <mutex>
 #include <unordered_map>
 
-#include "common/env.hpp"
 #include "obs/json.hpp"
 #include "obs/telemetry.hpp"
 
 namespace dcft::obs {
 namespace {
 
-/// Default per-lane capacity: 64Ki events ≈ 1.5 MiB. A 200-level n=8
-/// exploration emits a few thousand span events per lane, so the default
-/// holds hours of BFS; DCFT_TRACE_BUF overrides it.
+/// Per-lane capacity: 64Ki events ≈ 1.5 MiB. A 200-level n=8 exploration
+/// emits a few thousand span events per lane, so a lane holds hours of
+/// BFS; tests shrink it with set_trace_buffer_capacity().
 constexpr std::size_t kDefaultLaneCapacity = std::size_t{1} << 16;
 
 /// Cap on stored exploration timelines (a verify run over all grades does
 /// tens of explorations; fuzz campaigns could otherwise accumulate 10^4).
 constexpr std::size_t kMaxTimelines = 1024;
-
-/// -1 = not yet resolved from the environment; 0/1 = off/on. Same
-/// discipline as obs::enabled().
-std::atomic<int>& trace_state() {
-    static std::atomic<int> state{-1};
-    return state;
-}
 
 struct Lane {
     Lane(std::uint32_t id, std::size_t capacity) : tid(id) {
@@ -56,10 +48,8 @@ struct TraceState {
     std::uint64_t next_timeline_id = 0;
 
     std::size_t lane_capacity_locked() const {
-        if (capacity_override > 0) return capacity_override;
-        if (const auto v = env_positive_u64("DCFT_TRACE_BUF"))
-            return static_cast<std::size_t>(*v);
-        return kDefaultLaneCapacity;
+        return capacity_override > 0 ? capacity_override
+                                     : kDefaultLaneCapacity;
     }
 };
 
@@ -167,22 +157,6 @@ const char* phase_str(TracePhase p) {
 }
 
 }  // namespace
-
-bool trace_enabled() {
-    int v = trace_state().load(std::memory_order_relaxed);
-    if (v < 0) {
-        v = env_flag_enabled("DCFT_TRACE") ? 1 : 0;
-        int expected = -1;
-        trace_state().compare_exchange_strong(expected, v,
-                                              std::memory_order_relaxed);
-        v = trace_state().load(std::memory_order_relaxed);
-    }
-    return v == 1;
-}
-
-void set_trace_enabled(bool on) {
-    trace_state().store(on ? 1 : 0, std::memory_order_relaxed);
-}
 
 std::uint32_t trace_name(std::string_view path) {
     auto& s = state();

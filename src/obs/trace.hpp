@@ -4,15 +4,19 @@
 // nanos), this layer records *ordered events* — begin/end spans and instant
 // markers with nanosecond timestamps and a lane (thread) id — so questions
 // like "which merge phase stalls at level 190?" become a timeline instead
-// of a guess. The discipline matches telemetry exactly:
+// of a guess. Instrumented code never calls this layer directly: it uses
+// obs::Span and obs::event (obs/telemetry.hpp), which feed this event sink
+// and the aggregate timers/counters from one call site. The discipline:
 //
-//   * Disabled (the default) costs one relaxed atomic load per call site.
+//   * Disabled (the default) costs one relaxed atomic load per call site —
+//     the same load that gates telemetry (obs::active_sinks()).
 //     trace_enabled() resolves once from DCFT_TRACE (any truthy value; the
 //     CLIs pass the output path through it) and can be overridden
 //     programmatically with set_trace_enabled().
-//   * Event names are '/'-separated lower_snake paths, interned once per
-//     call site (`static const std::uint32_t id = trace_name("…")`) so the
-//     hot path stores a 4-byte id, never a string.
+//   * Event names are '/'-separated lower_snake paths — the telemetry path
+//     of the span or event — interned once per path in the telemetry
+//     registry's entry, so the hot path stores a 4-byte id, never a
+//     string.
 //   * Each OS thread appends to a lane: a fixed-capacity event buffer it
 //     owns exclusively (size is published with a release store; snapshots
 //     read it with acquire). The BFS merge spawns short-lived workers every
@@ -43,20 +47,20 @@
 namespace dcft::obs {
 
 // ---------------------------------------------------------------------------
-// Gate
+// Gate (the kEventSink bit of obs::active_sinks())
 
-/// True when event tracing is on. First call resolves DCFT_TRACE from the
-/// environment; afterwards one relaxed load.
+/// True when event tracing (the event sink) is on. First call resolves
+/// DCFT_TRACE from the environment; afterwards one relaxed load.
 bool trace_enabled();
 
 /// Programmatic override (the CLIs call this when --trace is given).
 void set_trace_enabled(bool on);
 
 // ---------------------------------------------------------------------------
-// Recording
+// Recording (raw API; instrumented code uses obs::Span / obs::event)
 
 /// Interns a '/'-separated lower_snake event name, returning its id.
-/// Call once per site via a function-local static; takes a global lock.
+/// Takes a global lock; the telemetry registry calls it once per path.
 std::uint32_t trace_name(std::string_view path);
 
 enum class TracePhase : std::uint8_t { kBegin, kEnd, kInstant };
@@ -68,34 +72,10 @@ struct TraceEvent {
     TracePhase phase = TracePhase::kInstant;
 };
 
-/// Emit directly. Callers gate on trace_enabled() themselves when they
-/// also have other per-event work to skip; the functions re-check and are
-/// no-ops when disabled.
+/// Emit directly; no-ops when tracing is disabled.
 void trace_begin(std::uint32_t name, std::uint64_t arg = 0);
 void trace_end(std::uint32_t name);
 void trace_instant(std::uint32_t name, std::uint64_t arg = 0);
-
-/// RAII begin/end pair. Decides once at construction, so a span that
-/// started while tracing was on always closes.
-class TraceSpan {
-public:
-    explicit TraceSpan(std::uint32_t name, std::uint64_t arg = 0) {
-        if (trace_enabled()) {
-            name_ = name;
-            active_ = true;
-            trace_begin(name, arg);
-        }
-    }
-    ~TraceSpan() {
-        if (active_) trace_end(name_);
-    }
-    TraceSpan(const TraceSpan&) = delete;
-    TraceSpan& operator=(const TraceSpan&) = delete;
-
-private:
-    std::uint32_t name_ = 0;
-    bool active_ = false;
-};
 
 // ---------------------------------------------------------------------------
 // Snapshot & export
@@ -123,8 +103,8 @@ TraceSnapshot trace_snapshot();
 void trace_reset();
 
 /// Per-lane capacity in events for lanes leased *after* the call.
-/// 0 restores the default (DCFT_TRACE_BUF or 64Ki events). Tests use a
-/// tiny capacity to exercise the overflow path; combine with trace_reset().
+/// 0 restores the default (64Ki events). Tests use a tiny capacity to
+/// exercise the overflow path; combine with trace_reset().
 void set_trace_buffer_capacity(std::size_t events);
 
 /// Chrome trace-event JSON (object form: {"traceEvents": […], …}) of the

@@ -116,17 +116,27 @@ void Server::accept_loop() {
             if (errno == EINTR) continue;
             return;  // listener shut down by wait() — we are done
         }
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (stop_requested_) {
-            ::close(fd);
-            continue;  // drain until the listener is actually closed
+        std::list<std::thread> done;
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            for (const Connection c : exited_)
+                done.splice(done.end(), connections_, c);
+            exited_.clear();
+            if (stop_requested_) {
+                ::close(fd);  // drain until the listener is actually closed
+            } else {
+                client_fds_.insert(fd);
+                // The thread queues its own iterator on exit, which it can
+                // only do after this lock (and the assignment) is released.
+                const Connection c = connections_.emplace(connections_.end());
+                *c = std::thread([this, fd, c] { handle_connection(fd, c); });
+            }
         }
-        client_fds_.insert(fd);
-        connections_.emplace_back([this, fd] { handle_connection(fd); });
+        for (std::thread& t : done) t.join();
     }
 }
 
-void Server::handle_connection(int fd) {
+void Server::handle_connection(int fd, Connection self) {
     std::string buffer;
     char chunk[4096];
     for (;;) {
@@ -155,6 +165,7 @@ void Server::handle_connection(int fd) {
     ::close(fd);
     std::lock_guard<std::mutex> lock(mutex_);
     client_fds_.erase(fd);
+    exited_.push_back(self);
 }
 
 bool Server::dispatch(int fd, const std::string& line) {

@@ -2,9 +2,11 @@
 // JSON queries (service/protocol.hpp) and answering them through the
 // coalescing QueryScheduler (service/scheduler.hpp).
 //
-// Threading: one accept thread, one thread per connection, and the
-// scheduler's worker pool. Connection threads block in
-// QueryScheduler::verify for verify ops — which is exactly where
+// Threading: one accept thread, one thread per live connection (a
+// finished connection's thread is joined at the next accept, so a
+// long-lived daemon does not keep one dead thread's stack per connection
+// it ever served), and the scheduler's worker pool. Connection threads
+// block in QueryScheduler::verify for verify ops — which is exactly where
 // concurrent same-key queries coalesce. A "shutdown" op (or shutdown()
 // from any thread, e.g. a signal watcher) requests stop; wait() — the
 // owner's blocking call — then closes the listener and every live
@@ -18,6 +20,7 @@
 #pragma once
 
 #include <condition_variable>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -57,8 +60,11 @@ public:
     const std::string& socket_path() const { return options_.socket_path; }
 
 private:
+    using Connection = std::list<std::thread>::iterator;
+
     void accept_loop();
-    void handle_connection(int fd);
+    /// Serves `fd` until EOF, then queues `self` for accept_loop to join.
+    void handle_connection(int fd, Connection self);
     /// Answers one request line on `fd`; false when the peer is gone.
     bool dispatch(int fd, const std::string& line);
 
@@ -71,7 +77,8 @@ private:
     bool stop_requested_ = false;
     bool started_ = false;
     bool finished_ = false;
-    std::vector<std::thread> connections_;
+    std::list<std::thread> connections_;  ///< Live or not yet joined.
+    std::vector<Connection> exited_;      ///< Returned, awaiting join.
     std::set<int> client_fds_;
 };
 

@@ -60,7 +60,7 @@ CheckResult check_preserved(const FaultClass& f, const Predicate& s) {
 
 CheckResult check_closed_reachable(const Program& p, const FaultClass* f,
                                    const Predicate& s, unsigned n_threads) {
-    const obs::ScopedSpan span("verify/closure");
+    const obs::Span span("verify/closure");
     obs::count("verify/obligations/closure");
     const Predicate escape = !s;
     const auto ts = ExplorationCache::global().get_or_build_early_exit(

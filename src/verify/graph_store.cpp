@@ -13,7 +13,6 @@
 
 #include "common/env.hpp"
 #include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
 #include "verify/spill.hpp"
 
 namespace dcft {
@@ -169,7 +168,7 @@ std::string GraphKey::hex() const {
 
 GraphKey graph_key(const Program& program, const FaultClass* faults,
                    const BitVec& init_bits) {
-    const obs::ScopedSpan span("verify/graph_store/key");
+    const obs::Span span("verify/graph_store/key");
     KeyHasher h;
     const StateSpace& space = program.space();
 
@@ -251,11 +250,7 @@ std::shared_ptr<TransitionSystem> GraphStore::load(const GraphKey& key,
         obs::count("verify/graph_store/misses");
         return nullptr;
     }
-    const obs::ScopedSpan span("verify/graph_store/load");
-    const obs::TraceSpan tspan(obs::trace_enabled()
-                                   ? obs::trace_name(
-                                         "verify/graph_store/load")
-                                   : 0);
+    const obs::Span span("verify/graph_store/load");
 
     auto reject = [&](std::string why) -> std::shared_ptr<TransitionSystem> {
         ::close(fd);
@@ -396,13 +391,8 @@ std::shared_ptr<TransitionSystem> GraphStore::load(const GraphKey& key,
     // LRU bump: both timestamps to now, so eviction order tracks use.
     (void)::utimensat(AT_FDCWD, path.c_str(), nullptr, 0);
 
-    obs::count("verify/graph_store/hits");
+    obs::event("verify/graph_store/hits", hdr.num_nodes);
     obs::count("verify/graph_store/bytes_loaded", file_size);
-    if (obs::trace_enabled()) {
-        static const std::uint32_t id =
-            obs::trace_name("verify/graph_store/hit");
-        obs::trace_instant(id, hdr.num_nodes);
-    }
     return TransitionSystem::adopt(program, std::move(names),
                                    std::move(arrays));
 }
@@ -414,11 +404,7 @@ bool GraphStore::save(const GraphKey& key, const TransitionSystem& ts,
         if (error != nullptr) *error = "refusing to store an early-exit fragment";
         return false;
     }
-    const obs::ScopedSpan span("verify/graph_store/save");
-    const obs::TraceSpan tspan(obs::trace_enabled()
-                                   ? obs::trace_name(
-                                         "verify/graph_store/save")
-                                   : 0);
+    const obs::Span span("verify/graph_store/save");
 
     // Serialized fault-name blob (u32 length + bytes each).
     std::vector<unsigned char> names_blob;

@@ -7,11 +7,13 @@
 
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "apps/token_ring.hpp"
 #include "obs/json.hpp"
+#include "obs/progress.hpp"
 #include "obs/run_report.hpp"
 #include "verify/tolerance_checker.hpp"
 #include "verify/transition_system.hpp"
@@ -51,7 +53,7 @@ TEST(TelemetryTest, CountersTimersAndSnapshotsSorted) {
     obs::count_max("t/peak", 3);  // below the high-water mark: ignored
     obs::record("t/gauge", 9);
     obs::record("t/gauge", 5);  // gauge: overwritten
-    { const obs::ScopedSpan span("t/span/inner"); }
+    { const obs::Span span("t/span/inner"); }
 
     EXPECT_EQ(counter_value("t/a"), 5u);
     EXPECT_EQ(counter_value("t/b"), 2u);
@@ -75,7 +77,7 @@ TEST(TelemetryTest, DisabledRecordingIsANoOp) {
     obs::set_enabled(false);
     obs::count("t/disabled/counter");
     obs::record("t/disabled/gauge", 3);
-    { const obs::ScopedSpan span("t/disabled/span"); }
+    { const obs::Span span("t/disabled/span"); }
     // Disabled helpers never touch the registry — the paths are not even
     // registered.
     EXPECT_FALSE(counter_exists("t/disabled/counter"));
@@ -140,6 +142,15 @@ TEST(TelemetryTest, ExplorationCountersDeterministicAcrossThreadCounts) {
               value("verify/explore/nodes"));
 }
 
+TEST(ProgressTest, FalsyOrNonFiniteEnvironmentLeavesHeartbeatOff) {
+    // ctest re-runs this case with DCFT_PROGRESS=OFF, fAlSe and inf
+    // (tests/CMakeLists.txt): the shared truthiness rule, in any case, and
+    // an interval that is not finite must all leave the heartbeat off.
+    const char* value = std::getenv("DCFT_PROGRESS");
+    EXPECT_FALSE(obs::progress_enabled())
+        << "DCFT_PROGRESS=" << (value != nullptr ? value : "(unset)");
+}
+
 TEST(JsonTest, WriterEscapingRoundTrips) {
     obs::JsonWriter w;
     const std::string nasty = "a\"b\\c\nd\te\rf\x01g";
@@ -174,10 +185,28 @@ TEST(JsonTest, ParserRejectsMalformedDocuments) {
     }
 }
 
+TEST(JsonTest, ParserRejectsEveryProperPrefixWithinItsBounds) {
+    // The document sits inside a longer buffer, so a read past a prefix's
+    // end would see valid-looking bytes instead of faulting; the reported
+    // error offset must never point beyond the prefix.
+    const std::string buffer = R"({"a":[1,"x\n",{"b":null}],"c":true})" "{";
+    const std::string_view doc(buffer.data(), buffer.size() - 1);
+    ASSERT_TRUE(obs::parse_json(doc).has_value());
+    for (std::size_t len = 0; len < doc.size(); ++len) {
+        std::string error;
+        EXPECT_FALSE(obs::parse_json(doc.substr(0, len), &error).has_value())
+            << "accepted prefix of length " << len;
+        const std::size_t at = error.rfind("at offset ");
+        ASSERT_NE(at, std::string::npos) << error;
+        EXPECT_LE(std::stoul(error.substr(at + 10)), len)
+            << "prefix of length " << len << ": " << error;
+    }
+}
+
 TEST(RunReportTest, SchemaRoundTrips) {
     TelemetryGuard guard;
     obs::count("verify/explorations", 3);
-    { const obs::ScopedSpan span("verify/explore/level"); }
+    { const obs::Span span("verify/explore/level"); }
 
     obs::RunReport report("dcft", "verify token-ring 4");
     obs::ReportQuery pass;

@@ -1,6 +1,7 @@
 // Trace subsystem tests: instant-event determinism across verifier
-// thread counts, ring-buffer overflow accounting, and the Chrome
-// trace-event JSON export round-tripping through the repo's own parser.
+// thread counts, ring-buffer overflow accounting, the Chrome trace-event
+// JSON export round-tripping through the repo's own parser, and obs::Span /
+// obs::event feeding both sinks under one name.
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
@@ -181,11 +182,66 @@ TEST(TraceTest, DisabledTracingRecordsNothing) {
     obs::trace_begin(id);
     obs::trace_instant(id);
     obs::trace_end(id);
-    { const obs::TraceSpan span(id); }
+    { const obs::Span span("t/disabled/span"); }
     const obs::TraceSnapshot snap = obs::trace_snapshot();
     for (const obs::TraceLane& lane : snap.lanes)
         EXPECT_TRUE(lane.events.empty());
     EXPECT_EQ(snap.dropped_total, 0u);
+}
+
+/// Events of `snap` whose name is `name`, across lanes, in lane order.
+std::vector<obs::TracePhase> phases_named(const obs::TraceSnapshot& snap,
+                                          const std::string& name) {
+    std::vector<obs::TracePhase> out;
+    for (const obs::TraceLane& lane : snap.lanes)
+        for (const obs::TraceEvent& e : lane.events)
+            if (snap.names[e.name] == name) out.push_back(e.phase);
+    return out;
+}
+
+TEST(SpanTest, OneSpanFeedsTimerAndTraceUnderOneName) {
+    TraceGuard guard;
+    obs::set_enabled(true);
+    obs::Registry::global().reset();
+    { const obs::Span span("t/unified/span", 5); }
+    obs::event("t/unified/event", 9);
+
+    std::uint64_t span_calls = 0, event_count = 0;
+    for (const auto& t : obs::Registry::global().timers())
+        if (t.path == "t/unified/span") span_calls = t.calls;
+    for (const auto& c : obs::Registry::global().counters())
+        if (c.path == "t/unified/event") event_count = c.value;
+    EXPECT_EQ(span_calls, 1u);
+    EXPECT_EQ(event_count, 1u);
+
+    const obs::TraceSnapshot snap = obs::trace_snapshot();
+    EXPECT_EQ(phases_named(snap, "t/unified/span"),
+              (std::vector<obs::TracePhase>{obs::TracePhase::kBegin,
+                                            obs::TracePhase::kEnd}));
+    EXPECT_EQ(phases_named(snap, "t/unified/event"),
+              std::vector<obs::TracePhase>{obs::TracePhase::kInstant});
+    obs::set_enabled(false);
+}
+
+TEST(SpanTest, BothSinksOffRecordNothing) {
+    obs::set_enabled(false);
+    obs::set_trace_enabled(false);
+    obs::trace_reset();
+    ASSERT_EQ(obs::active_sinks(), 0u);
+    { const obs::Span span("t/off/span", 1); }
+    obs::event("t/off/event", 2);
+
+    for (const auto& t : obs::Registry::global().timers())
+        EXPECT_NE(t.path, "t/off/span");
+    for (const auto& c : obs::Registry::global().counters())
+        EXPECT_NE(c.path, "t/off/event");
+    const obs::TraceSnapshot snap = obs::trace_snapshot();
+    for (const std::string& name : snap.names) {
+        EXPECT_NE(name, "t/off/span");
+        EXPECT_NE(name, "t/off/event");
+    }
+    for (const obs::TraceLane& lane : snap.lanes)
+        EXPECT_TRUE(lane.events.empty());
 }
 
 }  // namespace

@@ -20,6 +20,9 @@
 //  * Graded verify: {"op":"verify",...,"graded":true} flags the
 //    response and attaches masking_distance + monte_carlo blocks to
 //    every query.
+//  * Thread reaping: 200 sequential connections leave VmSize within
+//    256 MiB of where it started — finished connection threads are
+//    joined while the server runs, not kept until shutdown.
 //  * Clean shutdown: the shutdown op is acknowledged, wait() returns,
 //    every thread joins (the process exits), and the socket file is gone.
 #include <sys/socket.h>
@@ -29,6 +32,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -70,6 +74,21 @@ JsonValue ask(const std::string& socket_path, const std::string& line) {
         return JsonValue::make_null();
     }
     return *doc;
+}
+
+/// VmSize (mapped address space) of this process in KiB; 0 if unknown.
+std::uint64_t vm_size_kib() {
+    std::ifstream status("/proc/self/status");
+    std::string key;
+    std::uint64_t kib = 0;
+    while (status >> key) {
+        if (key == "VmSize:") {
+            status >> kib;
+            return kib;
+        }
+        status.ignore(4096, '\n');
+    }
+    return 0;
 }
 
 bool response_ok(const JsonValue& doc) {
@@ -255,6 +274,22 @@ int main() {
     check(plain_clean,
           "plain verify of the same system omits the graded blocks "
           "(coalescing keys keep graded and plain apart)");
+
+    // -- Phase D3: finished connection threads are reaped ----------------
+    // One thread serves each connection. Were they joined only at
+    // shutdown, every finished one would keep its stack mapped (8 MiB of
+    // address space apiece by default): 200 connections, ~1.6 GiB.
+    const std::uint64_t vm_before = vm_size_kib();
+    int pings_ok = 0;
+    for (int i = 0; i < 200; ++i)
+        if (response_ok(ask(socket_path, R"({"op":"ping"})"))) ++pings_ok;
+    check(pings_ok == 200, "200 sequential connections answered");
+    const std::uint64_t vm_after = vm_size_kib();
+    const std::uint64_t vm_growth_mib =
+        vm_after > vm_before ? (vm_after - vm_before) >> 10 : 0;
+    check(vm_before > 0 && vm_growth_mib < 256,
+          "200 sequential connections grew VmSize by < 256 MiB (got " +
+              std::to_string(vm_growth_mib) + " MiB)");
 
     // -- Phase E: clean shutdown -----------------------------------------
     check(response_ok(ask(socket_path, R"({"op":"shutdown"})")),
