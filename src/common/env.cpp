@@ -1,6 +1,7 @@
 #include "common/env.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <string_view>
 
@@ -48,12 +49,21 @@ std::optional<bool> env_flag_state(const char* name) {
     return env_value_truthy(v);
 }
 
-std::optional<std::uint64_t> parse_positive_u64(const char* text) {
-    if (text == nullptr || text[0] == '\0') return std::nullopt;
+std::optional<std::uint64_t> parse_u64(const char* text) {
+    // strtoull alone would skip leading blanks and wrap "-5" around.
+    if (text == nullptr || !std::isdigit(static_cast<unsigned char>(*text)))
+        return std::nullopt;
+    errno = 0;
     char* end = nullptr;
-    const long long n = std::strtoll(text, &end, 10);
-    if (end == text || *end != '\0' || n <= 0) return std::nullopt;
+    const unsigned long long n = std::strtoull(text, &end, 10);
+    if (*end != '\0' || errno == ERANGE) return std::nullopt;
     return static_cast<std::uint64_t>(n);
+}
+
+std::optional<std::uint64_t> parse_positive_u64(const char* text) {
+    const std::optional<std::uint64_t> n = parse_u64(text);
+    if (n == std::uint64_t{0}) return std::nullopt;
+    return n;
 }
 
 std::optional<std::uint64_t> env_positive_u64(const char* name) {

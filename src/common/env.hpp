@@ -14,7 +14,8 @@
 // Numeric knobs (DCFT_VERIFIER_THREADS, DCFT_EXPLORE_CACHE_CAP) go through
 // env_positive_u64: a strictly positive decimal integer, anything else
 // (unset, empty, junk, zero, negative) yields the caller's fallback. The
-// CLI's size and worker arguments use the same parse_positive_u64.
+// CLI's size, worker and simulate-count arguments use the same parser
+// (parse_u64, or parse_positive_u64 where zero is meaningless).
 #pragma once
 
 #include <cstdint>
@@ -39,8 +40,12 @@ bool env_value_truthy(const char* value);
 /// instead of silently overriding the environment.
 std::optional<bool> env_flag_state(const char* name);
 
-/// Parses `text` as a strictly positive decimal integer; returns nullopt
-/// when null, empty, malformed (trailing junk included), zero, or negative.
+/// Parses `text` as a non-negative decimal integer (digits only); returns
+/// nullopt when null, empty, signed, malformed (trailing junk included),
+/// or out of range.
+std::optional<std::uint64_t> parse_u64(const char* text);
+
+/// parse_u64, additionally rejecting zero: a strictly positive count.
 std::optional<std::uint64_t> parse_positive_u64(const char* text);
 
 /// parse_positive_u64 applied to the value of environment variable

@@ -456,15 +456,24 @@ std::vector<Divergence> run_oracles(const ProgramSpec& spec,
 
     // -- verdict oracles ---------------------------------------------------
     {
-        const CheckResult a = check_closed(sys.program, sys.invariant);
-        const CheckResult b =
-            reference::ref_check_closed(sys.program, sys.invariant);
-        if (a.ok != b.ok)
-            out.push_back({"verdict/closed",
-                           std::string("optimized ok=") +
-                               (a.ok ? "true" : "false") + " vs reference ok=" +
-                               (b.ok ? "true" : "false") +
-                               (b.ok ? "" : " (" + b.reason + ")")});
+        // Both sweep states in ascending order, actions in declaration
+        // order and successors in statement order, so the first reported
+        // violation must be the same one.
+        auto compare = [&out](const char* oracle, const CheckResult& a,
+                              const CheckResult& b) {
+            if (a.ok == b.ok && a.reason == b.reason) return;
+            out.push_back({oracle, std::string("optimized ok=") +
+                                       (a.ok ? "true" : "false") + " '" +
+                                       a.reason + "' vs reference ok=" +
+                                       (b.ok ? "true" : "false") + " '" +
+                                       b.reason + "'"});
+        };
+        compare("verdict/closed", check_closed(sys.program, sys.invariant),
+                reference::ref_check_closed(sys.program, sys.invariant));
+        if (faults != nullptr)
+            compare("verdict/preserved",
+                    check_preserved(*faults, sys.invariant),
+                    reference::ref_check_preserved(*faults, sys.invariant));
     }
     {
         const StateSet a = reachable_states(sys.program, faults, sys.init,
@@ -498,8 +507,8 @@ std::vector<Divergence> run_oracles(const ProgramSpec& spec,
                                (a.ok ? "true" : "false") + " vs reference ok=" +
                                (b.ok ? "true" : "false")});
         if (faults != nullptr) {
-            const CheckResult af = refines_spec(sys.program, sys.problem,
-                                                sys.init, {faults});
+            const CheckResult af =
+                refines_spec(sys.program, sys.problem, sys.init, faults);
             const CheckResult bf = reference::ref_refines_spec(
                 sys.program, sys.problem, sys.init, faults);
             if (af.ok != bf.ok)

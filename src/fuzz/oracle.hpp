@@ -46,10 +46,12 @@
 //                               obligation holds; a finite distance comes
 //                               with a replayable witness carrying exactly
 //                               `distance` fault steps.
-//   verdict/closed|reachable|converges|refines|refines-with-faults|
-//   verdict/tolerance           the optimized verdict pipeline vs the
+//   verdict/closed|preserved|reachable|converges|refines|
+//   verdict/refines-with-faults|tolerance
+//                               the optimized verdict pipeline vs the
 //                               ref_* reference pipeline (ok flags, state
-//                               sets, invariant/span sizes).
+//                               sets, invariant/span sizes; closed and
+//                               preserved also compare the reason).
 //   sim/trace-edge, sim/deadlock
 //                               every step of a recorded simulation trace
 //                               (random scheduler, fault injection) is an

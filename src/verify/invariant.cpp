@@ -1,10 +1,13 @@
 #include "verify/invariant.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/bitvec.hpp"
+#include "common/check.hpp"
 #include "common/parallel.hpp"
 #include "verify/reachability.hpp"
+#include "verify/transition_system.hpp"
 
 namespace dcft {
 
@@ -17,65 +20,46 @@ Predicate reachable_invariant(const Program& p, const Predicate& initial) {
 
 Predicate largest_safety_invariant(const Program& p,
                                    const SafetySpec& safety) {
+    // Seeded with the whole space, the exploration runs on the identity
+    // interner: node id == state index throughout.
+    const TransitionSystem ts(p, nullptr, Predicate::top());
+    DCFT_ASSERT(ts.identity_interner(),
+                "a whole-space exploration has node id == state index");
     const StateSpace& space = p.space();
     const StateIndex n = space.num_states();
-    const unsigned threads = default_verifier_threads();
 
-    // One parallel pass computes, per state, (a) whether it must be
-    // removed outright — disallowed itself, or having a disallowed
-    // transition — and (b) its successor edges, recorded flat for the
-    // predecessor CSR. Chunks are word-aligned so no two workers share a
-    // word of the `removed` bitset.
+    // One parallel pass over the recorded program edges marks the states
+    // that must be removed outright: disallowed themselves, or having a
+    // disallowed transition. Chunks are word-aligned so no two workers
+    // share a word of the `removed` bitset.
     BitVec removed(n);
-    const unsigned chunks = parallel_chunk_count(n, threads, BitVec::kWordBits);
-    std::vector<std::vector<std::pair<StateIndex, StateIndex>>> edge_bufs(
-        chunks);
     parallel_chunks(
-        n, threads, BitVec::kWordBits,
-        [&](unsigned c, std::uint64_t begin, std::uint64_t end) {
-            auto& edges = edge_bufs[c];
-            std::vector<StateIndex> succ;
+        n, default_verifier_threads(), BitVec::kWordBits,
+        [&](unsigned, std::uint64_t begin, std::uint64_t end) {
             for (StateIndex s = begin; s < end; ++s) {
-                succ.clear();
-                p.successors(s, succ);
-                bool bad = !safety.state_allowed(space, s);
-                for (StateIndex t : succ) {
-                    edges.emplace_back(s, t);
-                    if (!bad && !safety.transition_allowed(space, s, t))
-                        bad = true;
-                }
+                const auto edges = ts.program_edges(static_cast<NodeId>(s));
+                const bool bad =
+                    !safety.state_allowed(space, s) ||
+                    std::any_of(edges.begin(), edges.end(), [&](const auto& e) {
+                        return !safety.transition_allowed(space, s, e.to);
+                    });
                 if (bad) removed.set(s);
             }
         });
 
-    // Predecessor CSR over all program edges (counting sort, flat arrays).
-    std::size_t num_edges = 0;
-    for (const auto& buf : edge_bufs) num_edges += buf.size();
-    std::vector<std::uint64_t> offsets(static_cast<std::size_t>(n) + 1, 0);
-    for (const auto& buf : edge_bufs)
-        for (const auto& [s, t] : buf) ++offsets[t + 1];
-    for (std::size_t i = 1; i <= n; ++i) offsets[i] += offsets[i - 1];
-    std::vector<StateIndex> preds(num_edges);
-    {
-        std::vector<std::uint64_t> cursor(offsets.begin(), offsets.end() - 1);
-        for (const auto& buf : edge_bufs)
-            for (const auto& [s, t] : buf) preds[cursor[t]++] = s;
-    }
-
     // Greatest fixpoint via backward propagation: any state with a
     // successor outside the candidate set must go too (closure).
-    std::vector<StateIndex> queue;
+    const TransitionSystem::CsrList& preds = ts.predecessors(false);
+    std::vector<NodeId> queue;
     queue.reserve(static_cast<std::size_t>(removed.popcount()));
     removed.for_each_set([&](std::uint64_t s) {
-        queue.push_back(static_cast<StateIndex>(s));
+        queue.push_back(static_cast<NodeId>(s));
     });
     while (!queue.empty()) {
-        const StateIndex t = queue.back();
+        const NodeId t = queue.back();
         queue.pop_back();
-        for (std::uint64_t i = offsets[t]; i < offsets[t + 1]; ++i) {
-            const StateIndex s = preds[i];
+        for (const NodeId s : preds[t])
             if (removed.test_and_set(s)) queue.push_back(s);
-        }
     }
 
     removed.complement();

@@ -5,7 +5,8 @@
 //
 // dcft offers both directions:
 //   reachable_invariant   — the smallest closed set containing some
-//                           initial states (forward closure);
+//                           initial states (forward closure, via
+//                           reachable_states);
 //   largest_safety_invariant — the *largest* set that is closed in p and
 //                           from which no computation can ever violate the
 //                           safety specification (greatest fixpoint:
@@ -29,7 +30,9 @@ Predicate reachable_invariant(const Program& p, const Predicate& initial);
 
 /// The largest predicate S such that S is closed in p, every S-state is
 /// allowed by `safety`, and every program transition from S is allowed.
-/// May be empty (bottom) when no state can be made safe.
+/// May be empty (bottom) when no state can be made safe. Computed on the
+/// whole-space TransitionSystem of p: the removal seed is read off the
+/// recorded program edges, then propagated back over its predecessor CSR.
 Predicate largest_safety_invariant(const Program& p,
                                    const SafetySpec& safety);
 

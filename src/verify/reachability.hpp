@@ -12,8 +12,10 @@ namespace dcft {
 /// that is closed in p and preserved by every action of f — for `from` = an
 /// invariant S, it is the canonical F-span of p from S (Section 2.3).
 ///
-/// `n_threads` bounds the exploration workers (0 = process default); the
-/// computed set is identical for every thread count.
+/// Computed as the node set of a TransitionSystem explored from `from`
+/// (the one successor engine; built directly, never cached). `n_threads`
+/// bounds the exploration workers (0 = process default); the computed set
+/// is identical for every thread count.
 StateSet reachable_states(const Program& p, const FaultClass* f,
                           const Predicate& from, unsigned n_threads = 0);
 

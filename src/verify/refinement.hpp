@@ -22,28 +22,11 @@
 
 namespace dcft {
 
-struct RefinesOptions {
-    /// When set, checks 'p [] F refines ... from `from`'.
-    const FaultClass* faults = nullptr;
-
-    /// Opt-in early exit for safety-style queries. Applies only when the
-    /// spec has no liveness obligations and its safety part is
-    /// state_only(): the exploration then registers
-    /// (spec.safety().bad_states() || !from) as a stop predicate and
-    /// terminates at the first (canonically least node id) violating
-    /// state instead of materializing the full graph. The verdict is
-    /// identical to the default path; on failure the counterexample is
-    /// the canonically first violating *state* (closure escape or bad
-    /// state, whichever is discovered first), which may differ from the
-    /// default path's closure-first report order while remaining a valid
-    /// minimal-depth witness. Liveness specs and non-state-only safety
-    /// silently fall back to the full pipeline.
-    bool early_exit = false;
-};
-
-/// 'p refines SPEC from `from`' (or 'p [] F refines SPEC from `from`').
+/// 'p refines SPEC from `from`' (or, with a fault class, 'p [] F refines
+/// SPEC from `from`').
 CheckResult refines_spec(const Program& p, const ProblemSpec& spec,
-                         const Predicate& from, const RefinesOptions& opts = {});
+                         const Predicate& from,
+                         const FaultClass* faults = nullptr);
 
 /// refines_spec evaluated on a pre-built transition system, so one
 /// exploration can carry several obligations (see check_tolerance).

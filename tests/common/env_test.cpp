@@ -65,6 +65,20 @@ TEST(EnvTest, ParsePositiveU64) {
     EXPECT_EQ(parse_positive_u64("7"), 7u);
 }
 
+TEST(EnvTest, ParseU64) {
+    EXPECT_EQ(parse_u64(nullptr), std::nullopt);
+    EXPECT_EQ(parse_u64(""), std::nullopt);
+    EXPECT_EQ(parse_u64("0"), 0u);
+    EXPECT_EQ(parse_u64("42"), 42u);
+    // Signs and blanks strtoull would accept ("-5" wraps to 2^64 - 5).
+    EXPECT_EQ(parse_u64("-5"), std::nullopt);
+    EXPECT_EQ(parse_u64("+5"), std::nullopt);
+    EXPECT_EQ(parse_u64(" 5"), std::nullopt);
+    EXPECT_EQ(parse_u64("5 "), std::nullopt);
+    EXPECT_EQ(parse_u64("18446744073709551615"), UINT64_MAX);
+    EXPECT_EQ(parse_u64("18446744073709551616"), std::nullopt);
+}
+
 TEST(EnvTest, PositiveU64) {
     unsetenv("DCFT_ENV_TEST_NUM");
     EXPECT_EQ(env_positive_u64("DCFT_ENV_TEST_NUM"), std::nullopt);

@@ -30,7 +30,7 @@ TEST(Theorem36Test, MemoryAccessInstance) {
     const ToleranceReport fs =
         check_failsafe(sys.failsafe, sys.page_fault, sys.spec, sys.S);
     ASSERT_TRUE(refines_spec(sys.failsafe, sys.spec.failsafe_weakening(),
-                             fs.fault_span, RefinesOptions{&sys.page_fault})
+                             fs.fault_span, &sys.page_fault)
                     .ok);
 
     // (C1) p' is fail-safe F-tolerant for SPEC from R.

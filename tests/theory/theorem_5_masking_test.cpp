@@ -25,7 +25,7 @@ TEST(Theorem52Test, SafetyPlusConvergenceImpliesMasking) {
 
     ASSERT_TRUE(refines_spec(sys.masking, sys.spec, sys.S).ok);
     ASSERT_TRUE(refines_spec(sys.masking, sys.spec.failsafe_weakening(),
-                             mk.fault_span, RefinesOptions{&sys.page_fault})
+                             mk.fault_span, &sys.page_fault)
                     .ok);
     ASSERT_TRUE(
         converges(sys.masking, &sys.page_fault, mk.fault_span, sys.S).ok);

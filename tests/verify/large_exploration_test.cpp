@@ -15,7 +15,7 @@
 #include "verify/closure.hpp"
 #include "verify/exploration_cache.hpp"
 #include "verify/reachability.hpp"
-#include "verify/refinement.hpp"
+#include "verify/reference.hpp"
 #include "verify/tolerance_checker.hpp"
 #include "verify/transition_system.hpp"
 
@@ -162,9 +162,9 @@ TEST(EarlyExitTest, StopPredicateThatNeverFiresYieldsTheCompleteGraph) {
 }
 
 // ---------------------------------------------------------------------------
-// Early-exit obligations: check_unreachable / check_closed_reachable /
-// check_tolerance(early_exit) agree with the full pipelines — verdicts,
-// messages, and witness traces — across thread counts and cache bypass.
+// Early-exit obligations: check_unreachable and check_tolerance(early_exit)
+// agree with the full pipelines — verdicts, messages, and witness traces —
+// across thread counts and cache bypass.
 // ---------------------------------------------------------------------------
 
 TEST(EarlyExitTest, CheckUnreachableMatchesFullGraphScan) {
@@ -204,31 +204,31 @@ TEST(EarlyExitTest, CheckUnreachableMatchesFullGraphScan) {
             .ok);
 }
 
-TEST(EarlyExitTest, CheckClosedReachableMatchesCheckClosed) {
+TEST(ClosureCheckTest, ReasonsMatchReferenceOracle) {
+    // check_closed/check_preserved sweep S with the compiled kernel; they
+    // must report exactly the violation the interpreted reference sweep
+    // reports first.
     const auto sys = apps::make_token_ring(5, 5);
 
     // Closed predicate: the legitimate set is closed in the ring.
-    ExplorationCache::global().clear();
     EXPECT_TRUE(check_closed(sys.ring, sys.legitimate).ok);
-    EXPECT_TRUE(check_closed_reachable(sys.ring, nullptr, sys.legitimate).ok);
+    EXPECT_TRUE(reference::ref_check_closed(sys.ring, sys.legitimate).ok);
 
-    // Non-closed predicate: identical failure messages (program-only).
+    // Non-closed predicate: identical failure messages.
     const Predicate x0 = Predicate::var_eq(*sys.space, "x.0", 0);
     const CheckResult a = check_closed(sys.ring, x0);
-    ExplorationCache::global().clear();
-    const CheckResult b = check_closed_reachable(sys.ring, nullptr, x0);
+    const CheckResult b = reference::ref_check_closed(sys.ring, x0);
     ASSERT_FALSE(a.ok);
     ASSERT_FALSE(b.ok);
     EXPECT_EQ(a.reason, b.reason);
-    ASSERT_FALSE(b.witness.empty());
 
-    // With faults: verdict-equivalent to check_closed && check_preserved.
-    ExplorationCache::global().clear();
-    const CheckResult c =
-        check_closed_reachable(sys.ring, &sys.corrupt_any, sys.legitimate);
-    const bool ref = check_closed(sys.ring, sys.legitimate).ok &&
-                     check_preserved(sys.corrupt_any, sys.legitimate).ok;
-    EXPECT_EQ(c.ok, ref);
+    // Faults: corrupting any variable escapes the legitimate set.
+    const CheckResult c = check_preserved(sys.corrupt_any, sys.legitimate);
+    const CheckResult d =
+        reference::ref_check_preserved(sys.corrupt_any, sys.legitimate);
+    ASSERT_FALSE(c.ok);
+    ASSERT_FALSE(d.ok);
+    EXPECT_EQ(c.reason, d.reason);
 }
 
 TEST(EarlyExitTest, FailsafeToleranceEarlyExitMatchesDefaultPipeline) {
@@ -270,38 +270,6 @@ TEST(EarlyExitTest, FailsafeToleranceEarlyExitMatchesDefaultPipeline) {
         EXPECT_EQ(cached.in_presence.reason, fast.in_presence.reason);
         EXPECT_EQ(cached.in_presence.witness, fast.in_presence.witness);
     }
-    ExplorationCache::global().clear();
-}
-
-TEST(EarlyExitTest, RefinesSpecEarlyExitAgreesWithDefault) {
-    const auto sys = apps::make_token_ring(4, 4);
-    const ProblemSpec failsafe = sys.spec.failsafe_weakening();
-    ASSERT_TRUE(failsafe.safety().state_only());
-    ASSERT_TRUE(failsafe.liveness().obligations().empty());
-
-    RefinesOptions fast;
-    fast.faults = &sys.corrupt_any;
-    fast.early_exit = true;
-    RefinesOptions slow;
-    slow.faults = &sys.corrupt_any;
-
-    // Failing query (faults escape the safety part of SPEC_token).
-    ExplorationCache::global().clear();
-    const CheckResult a = refines_spec(sys.ring, failsafe, sys.legitimate,
-                                       slow);
-    ExplorationCache::global().clear();
-    const CheckResult b = refines_spec(sys.ring, failsafe, sys.legitimate,
-                                       fast);
-    EXPECT_EQ(a.ok, b.ok);
-    ASSERT_FALSE(b.ok);
-    ASSERT_FALSE(b.witness.empty());
-
-    // Passing query: program-only refinement from the legitimate set.
-    ExplorationCache::global().clear();
-    RefinesOptions fast_nf;
-    fast_nf.early_exit = true;
-    EXPECT_TRUE(refines_spec(sys.ring, failsafe, sys.legitimate, fast_nf).ok);
-    EXPECT_TRUE(refines_spec(sys.ring, failsafe, sys.legitimate, {}).ok);
     ExplorationCache::global().clear();
 }
 

@@ -107,7 +107,7 @@ TEST(RefinesSpecTest, FaultStepsMustSatisfySafetyToo) {
     const Predicate span("v<=4", [](const StateSpace& space, StateIndex s) {
         return space.get(s, 0) <= 4;
     });
-    const CheckResult r = refines_spec(p, spec, span, RefinesOptions{&f});
+    const CheckResult r = refines_spec(p, spec, span, &f);
     EXPECT_FALSE(r.ok);
     EXPECT_NE(r.reason.find("fault step"), std::string::npos);
 }

@@ -342,19 +342,53 @@ int cmd_verify(const std::string& name, int size, const FlagMap& flags) {
     return finish_trace(trace_path);
 }
 
+/// Integer flag `key` of `dcft simulate` (`fallback` when absent). A value
+/// that is not a decimal integer (positive when `positive`) prints a usage
+/// error and yields nullopt.
+std::optional<std::uint64_t> count_flag(const FlagMap& flags, const char* key,
+                                        std::uint64_t fallback,
+                                        bool positive) {
+    const auto it = flags.find(key);
+    if (it == flags.end()) return fallback;
+    const char* text = it->second.c_str();
+    const std::optional<std::uint64_t> n =
+        positive ? parse_positive_u64(text) : parse_u64(text);
+    if (!n.has_value())
+        std::fprintf(stderr, "error: --%s must be a %s integer\n", key,
+                     positive ? "positive" : "non-negative");
+    return n;
+}
+
+/// --fault-p of `dcft simulate`: a finite probability in [0, 1].
+std::optional<double> probability_flag(const FlagMap& flags, const char* key,
+                                       double fallback) {
+    const auto it = flags.find(key);
+    if (it == flags.end()) return fallback;
+    char* end = nullptr;
+    const double p = std::strtod(it->second.c_str(), &end);
+    if (end != it->second.c_str() && *end == '\0' && p >= 0.0 && p <= 1.0)
+        return p;
+    std::fprintf(stderr, "error: --%s must be a number in [0, 1]\n", key);
+    return std::nullopt;
+}
+
 int cmd_simulate(const std::string& name, int size, const FlagMap& flags) {
     if (flags.count("report")) {
         std::fprintf(stderr,
                      "error: --report is only supported by 'dcft verify'\n");
         return 2;
     }
+    const auto runs = count_flag(flags, "runs", 200, /*positive=*/true);
+    const auto seed = count_flag(flags, "seed", 1, /*positive=*/false);
+    const auto steps = count_flag(flags, "steps", 1000, /*positive=*/true);
+    const auto max_faults =
+        count_flag(flags, "max-faults", 3, /*positive=*/false);
+    const auto fault_p = probability_flag(flags, "fault-p", 0.1);
+    if (!runs || !seed || !steps || !max_faults || !fault_p) return 2;
+
     const std::string trace_path =
         setup_observability(flags, /*wants_report=*/false);
     const apps::SystemInstance sys = apps::load_system(name, size);
-    auto flag = [&flags](const char* key, double fallback) {
-        auto it = flags.find(key);
-        return it == flags.end() ? fallback : std::stod(it->second);
-    };
     std::string variant = flags.count("variant")
                               ? flags.at("variant")
                               : sys.variants.begin()->first;
@@ -368,12 +402,12 @@ int cmd_simulate(const std::string& name, int size, const FlagMap& flags) {
     const Program& program = sys.variants.at(variant);
     ex.program = &program;
     ex.initial = sys.initial;
-    ex.runs = static_cast<std::size_t>(flag("runs", 200));
-    ex.base_seed = static_cast<std::uint64_t>(flag("seed", 1));
-    ex.options.max_steps = static_cast<std::size_t>(flag("steps", 1000));
+    ex.runs = *runs;
+    ex.base_seed = *seed;
+    ex.options.max_steps = *steps;
     ex.faults = sys.faults.get();
-    ex.fault_probability = flag("fault-p", 0.1);
-    ex.max_faults = static_cast<std::size_t>(flag("max-faults", 3));
+    ex.fault_probability = *fault_p;
+    ex.max_faults = *max_faults;
     ex.safety = sys.spec.safety();
     ex.corrector = sys.invariant;
 
