@@ -1,5 +1,7 @@
 #include "gc/predicate.hpp"
 
+#include <mutex>
+
 #include "common/check.hpp"
 #include "common/parallel.hpp"
 #include "obs/telemetry.hpp"
@@ -7,6 +9,13 @@
 namespace dcft {
 
 struct Predicate::Impl {
+    Impl(std::string name_, Fn fn_, std::shared_ptr<const BitVec> bits_,
+         NodeKind kind_)
+        : name(std::move(name_)),
+          fn(std::move(fn_)),
+          bits(std::move(bits_)),
+          kind(kind_) {}
+
     std::string name;
     Fn fn;
     /// Non-null iff the predicate is set-backed; then for every valid s,
@@ -19,6 +28,15 @@ struct Predicate::Impl {
     VarId var2 = 0;
     Value value = 0;
     std::vector<Predicate> kids;
+
+    /// Truth table of the last whole-space scan (eval_bits), keyed by
+    /// StateSpace::uid() — process-unique and never reused, so a memo can
+    /// never answer for a different space that happens to share an address
+    /// or a shape. Embedded (no allocation until the first scan) and only
+    /// ever touched by eval_bits under `memo_mu`; eval() never looks here.
+    mutable std::mutex memo_mu;
+    mutable std::uint64_t memo_uid = 0;  ///< 0: nothing memoized (uids start at 1)
+    mutable BitVec memo_bits;
 };
 
 namespace {
@@ -45,23 +63,21 @@ const BitVec* backed_pair(const Predicate& a, const Predicate& b) {
 
 Predicate::Predicate()
     : impl_(std::make_shared<Impl>(
-          Impl{"true", [](const StateSpace&, StateIndex) { return true; },
-               nullptr, NodeKind::kTrue, 0, 0, 0, {}})) {}
+          "true", [](const StateSpace&, StateIndex) { return true; }, nullptr,
+          NodeKind::kTrue)) {}
 
 Predicate::Predicate(std::string name, Fn fn) {
     DCFT_EXPECTS(fn != nullptr, "Predicate requires an evaluation function");
-    impl_ = std::make_shared<Impl>(
-        Impl{std::move(name), std::move(fn), nullptr, NodeKind::kOpaque, 0, 0,
-             0, {}});
+    impl_ = std::make_shared<Impl>(std::move(name), std::move(fn), nullptr,
+                                   NodeKind::kOpaque);
 }
 
 Predicate Predicate::from_bits(std::string name,
                                std::shared_ptr<const BitVec> bits) {
     DCFT_EXPECTS(bits != nullptr, "Predicate::from_bits requires bits");
     Predicate out;
-    out.impl_ = std::make_shared<Impl>(
-        Impl{std::move(name), bits_fn(bits), std::move(bits),
-             NodeKind::kBacked, 0, 0, 0, {}});
+    out.impl_ = std::make_shared<Impl>(std::move(name), bits_fn(bits),
+                                       std::move(bits), NodeKind::kBacked);
     return out;
 }
 
@@ -151,10 +167,15 @@ const std::shared_ptr<const BitVec>& Predicate::backing_bits() const {
 }
 
 Predicate Predicate::renamed(std::string name) const {
+    // A fresh Impl, so the copy starts with an empty memo.
+    auto impl = std::make_shared<Impl>(std::move(name), impl_->fn,
+                                       impl_->bits, impl_->kind);
+    impl->var = impl_->var;
+    impl->var2 = impl_->var2;
+    impl->value = impl_->value;
+    impl->kids = impl_->kids;
     Predicate out = *this;
-    out.impl_ = std::make_shared<Impl>(
-        Impl{std::move(name), impl_->fn, impl_->bits, impl_->kind,
-             impl_->var, impl_->var2, impl_->value, impl_->kids});
+    out.impl_ = std::move(impl);
     return out;
 }
 
@@ -241,6 +262,16 @@ BitVec eval_bits(const StateSpace& space, const Predicate& p,
         obs::count("verify/predicate_eval/backed_hits");
         return *bits;
     }
+    // Memo: the first scan over a space keeps its words; later calls (the
+    // three grades of a grid, the game, warm daemon requests) copy them.
+    // The lock is held across the scan so concurrent first calls run it
+    // once; the workers below only call eval(), which never locks.
+    const Predicate::Impl& impl = *p.impl_;
+    const std::lock_guard<std::mutex> lock(impl.memo_mu);
+    if (impl.memo_uid == space.uid()) {
+        obs::count("verify/predicate_eval/memo_hits");
+        return impl.memo_bits;
+    }
     const obs::Span span("verify/predicate_eval");
     obs::count("verify/predicate_eval/bulk_scans");
     obs::count("verify/predicate_eval/states_scanned", n);
@@ -252,6 +283,8 @@ BitVec eval_bits(const StateSpace& space, const Predicate& p,
                         for (StateIndex s = begin; s < end; ++s)
                             if (p.eval(space, s)) out.set(s);
                     });
+    impl.memo_bits = out;
+    impl.memo_uid = space.uid();
     return out;
 }
 

@@ -23,6 +23,8 @@ namespace dcft {
 /// Value-semantic and cheap to copy (shared immutable implementation).
 /// Predicates are pure: evaluation must not depend on anything but the
 /// state. A default-constructed Predicate is `top()` (true everywhere).
+/// The one mutable part of the shared implementation is the truth table
+/// eval_bits keeps per space, so copies scan a space once between them.
 ///
 /// A predicate may additionally be *set-backed*: built from (or composed
 /// out of) an explicit bit vector over the packed state indices. The bulk
@@ -110,6 +112,8 @@ public:
     /// Returns a copy carrying a different display name.
     Predicate renamed(std::string name) const;
 
+    friend BitVec eval_bits(const StateSpace& space, const Predicate& p,
+                            unsigned n_threads);
     friend Predicate operator&&(const Predicate& a, const Predicate& b);
     friend Predicate operator||(const Predicate& a, const Predicate& b);
     friend Predicate operator!(const Predicate& a);
@@ -131,6 +135,12 @@ Predicate implies(const Predicate& a, const Predicate& b);
 /// n_threads workers (0 = default_verifier_threads(); results are
 /// identical for every thread count). Backed predicates are copied in
 /// O(|space|/64) without re-evaluation.
+///
+/// The truth table is kept per space: the words of the first scan stay in
+/// p's shared implementation, keyed by space.uid(), and later calls for
+/// the same space (from p or any copy of it) copy them instead of calling
+/// eval again. A different space, or a renamed() copy, scans afresh;
+/// concurrent first calls run one scan between them.
 BitVec eval_bits(const StateSpace& space, const Predicate& p,
                  unsigned n_threads = 1);
 

@@ -247,13 +247,12 @@ void or_var_eq(const CompiledSpace& cs, VarId v, Value c, BitVec& out) {
             wt[k] & (~BitVec::Word{0} >> (64 - (n & 63)));
 }
 
-/// Per-state fallback scan of an unstructured subtree (out not cleared).
+/// Per-state fallback scan of an unstructured subtree (out not cleared):
+/// eval_bits, so the scan is chunked across the verifier's workers and
+/// memoized on the predicate for this space.
 void or_scan(const CompiledSpace& cs, const Predicate& p, BitVec& out) {
     obs::count("verify/compile/guard_bits_scans");
-    const StateSpace& sp = cs.space();
-    const std::uint64_t n = cs.num_states();
-    for (StateIndex s = 0; s < n; ++s)
-        if (p.eval(sp, s)) out.set(s);
+    out |= eval_bits(cs.space(), p, /*n_threads=*/0);
 }
 
 void fill_rec(const CompiledSpace& cs, const Predicate& p, BitVec& out) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <span>
 
 #include "obs/telemetry.hpp"
 
@@ -9,14 +10,27 @@ namespace dcft {
 namespace {
 
 /// Iterative Tarjan SCC over the sub-graph of program edges whose endpoints
-/// both satisfy `in_h`. Returns component ids (dense, otherwise arbitrary);
-/// nodes outside H get component id UINT32_MAX.
+/// both satisfy `in_h`. Only a *cyclic* component — more than one node, or
+/// one node with a program self-loop — can carry an infinite computation,
+/// so only those are recorded: comp[v] is the (dense) id of v's cyclic
+/// component, kNoComp for nodes outside H or in an acyclic singleton, and
+/// the members of component c are members[begin[c], begin[c + 1]), in one
+/// flat array. Acyclic singletons, the bulk of the SCCs of a converging
+/// graph, cost no allocation at all.
+constexpr std::uint32_t kNoComp = ~std::uint32_t{0};
+
 struct SccResult {
     std::vector<std::uint32_t> comp;
-    std::uint32_t num_comps = 0;
-};
+    std::vector<NodeId> members;
+    std::vector<std::size_t> begin{0};
 
-constexpr std::uint32_t kNoComp = ~std::uint32_t{0};
+    std::uint32_t num_cyclic() const {
+        return static_cast<std::uint32_t>(begin.size() - 1);
+    }
+    std::span<const NodeId> nodes(std::uint32_t c) const {
+        return {members.data() + begin[c], members.data() + begin[c + 1]};
+    }
+};
 
 SccResult tarjan_scc(const TransitionSystem& ts, const std::vector<char>& in_h) {
     const std::size_t n = ts.num_nodes();
@@ -31,12 +45,13 @@ SccResult tarjan_scc(const TransitionSystem& ts, const std::vector<char>& in_h) 
     struct Frame {
         NodeId node;
         std::size_t edge;
+        bool self_loop;
     };
     std::vector<Frame> call;
 
     for (NodeId root = 0; root < n; ++root) {
         if (!in_h[root] || index[root] != kNoComp) continue;
-        call.push_back(Frame{root, 0});
+        call.push_back(Frame{root, 0, false});
         index[root] = low[root] = next_index++;
         stack.push_back(root);
         on_stack[root] = 1;
@@ -48,8 +63,9 @@ SccResult tarjan_scc(const TransitionSystem& ts, const std::vector<char>& in_h) 
                 const NodeId w = edges[f.edge].to;
                 ++f.edge;
                 if (!in_h[w]) continue;
+                if (w == f.node) f.self_loop = true;
                 if (index[w] == kNoComp) {
-                    call.push_back(Frame{w, 0});
+                    call.push_back(Frame{w, 0, false});
                     index[w] = low[w] = next_index++;
                     stack.push_back(w);
                     on_stack[w] = 1;
@@ -61,19 +77,27 @@ SccResult tarjan_scc(const TransitionSystem& ts, const std::vector<char>& in_h) 
             if (descended) continue;
             // f.node finished.
             const NodeId v = f.node;
+            const bool self_loop = f.self_loop;
             call.pop_back();
             if (!call.empty())
                 low[call.back().node] = std::min(low[call.back().node], low[v]);
-            if (low[v] == index[v]) {
-                const std::uint32_t c = result.num_comps++;
-                for (;;) {
-                    const NodeId w = stack.back();
-                    stack.pop_back();
-                    on_stack[w] = 0;
-                    result.comp[w] = c;
-                    if (w == v) break;
-                }
+            if (low[v] != index[v]) continue;
+            if (stack.back() == v && !self_loop) {
+                // Acyclic singleton: no fair computation can stay in it.
+                stack.pop_back();
+                on_stack[v] = 0;
+                continue;
             }
+            const std::uint32_t c = result.num_cyclic();
+            for (;;) {
+                const NodeId w = stack.back();
+                stack.pop_back();
+                on_stack[w] = 0;
+                result.comp[w] = c;
+                result.members.push_back(w);
+                if (w == v) break;
+            }
+            result.begin.push_back(result.members.size());
         }
     }
     return result;
@@ -114,47 +138,35 @@ std::vector<char> fair_avoidance_set(const TransitionSystem& ts,
         }
     }
 
-    // Infinite fair computations confined to !target: feasible SCCs.
+    // Infinite fair computations confined to !target: feasible cyclic SCCs.
     const SccResult scc = tarjan_scc(ts, in_h);
-    if (scc.num_comps > 0) {
-        std::vector<std::vector<NodeId>> members(scc.num_comps);
-        for (NodeId v = 0; v < n; ++v)
-            if (scc.comp[v] != kNoComp) members[scc.comp[v]].push_back(v);
-
-        const std::size_t num_actions = ts.num_program_actions();
-        std::vector<char> has_internal(num_actions);
-        for (std::uint32_t c = 0; c < scc.num_comps; ++c) {
-            const auto& nodes = members[c];
-            // Internal edges per action, and whether any exist at all.
-            std::fill(has_internal.begin(), has_internal.end(), 0);
-            bool any_internal = false;
+    const std::size_t num_actions = ts.num_program_actions();
+    std::vector<char> has_internal(num_actions);
+    for (std::uint32_t c = 0; c < scc.num_cyclic(); ++c) {
+        const std::span<const NodeId> nodes = scc.nodes(c);
+        // Actions with an edge inside the component (only H nodes carry a
+        // component id, so comp alone decides membership).
+        std::fill(has_internal.begin(), has_internal.end(), 0);
+        for (NodeId v : nodes)
+            for (const auto& e : ts.program_edges(v))
+                if (scc.comp[e.to] == c) has_internal[e.action] = 1;
+        bool feasible = true;
+        for (std::uint32_t a = 0; a < num_actions && feasible; ++a) {
+            if (has_internal[a]) continue;
+            bool enabled_everywhere = true;
             for (NodeId v : nodes) {
-                for (const auto& e : ts.program_edges(v)) {
-                    if (in_h[e.to] && scc.comp[e.to] == c) {
-                        has_internal[e.action] = 1;
-                        any_internal = true;
-                    }
+                if (!ts.enabled(v, a)) {
+                    enabled_everywhere = false;
+                    break;
                 }
             }
-            if (!any_internal) continue;  // trivial SCC, no self-loop
-            bool feasible = true;
-            for (std::uint32_t a = 0; a < num_actions && feasible; ++a) {
-                if (has_internal[a]) continue;
-                bool enabled_everywhere = true;
-                for (NodeId v : nodes) {
-                    if (!ts.enabled(v, a)) {
-                        enabled_everywhere = false;
-                        break;
-                    }
-                }
-                if (enabled_everywhere) feasible = false;
-            }
-            if (feasible) {
-                for (NodeId v : nodes) {
-                    if (!avoid[v]) {
-                        avoid[v] = 1;
-                        frontier.push_back(v);
-                    }
+            if (enabled_everywhere) feasible = false;
+        }
+        if (feasible) {
+            for (NodeId v : nodes) {
+                if (!avoid[v]) {
+                    avoid[v] = 1;
+                    frontier.push_back(v);
                 }
             }
         }

@@ -31,11 +31,20 @@ std::vector<WitnessStep> trace_plus_step(const TransitionSystem& ts,
 /// explored from `from` the nodes satisfying it are exactly the roots, in
 /// ascending state order — the same order check_closed visits, so the first
 /// reported violation (and its message) is identical.
+///
+/// Every edge target is a node, so when `from` holds on every node no edge
+/// can leave it: one pass over the node states then decides closure, with
+/// no edge probed. That is exact for any `from`, and it is always the case
+/// for the fault span, which is the node set of its own graph.
 CheckResult check_closure_on(const TransitionSystem& ts,
                              const BitVec& from_bits, const Predicate& from,
                              const FaultClass* faults) {
     const obs::Span span("verify/closure");
     obs::count("verify/obligations/closure");
+    NodeId outside = 0;  // first node whose state is not in `from`
+    while (outside < ts.num_nodes() && from_bits.test(ts.state_of(outside)))
+        ++outside;
+    if (outside == ts.num_nodes()) return CheckResult::success();
     const StateSpace& space = ts.space();
     for (NodeId n = 0; n < ts.num_nodes(); ++n) {
         const StateIndex s = ts.state_of(n);
@@ -81,6 +90,7 @@ CheckResult check_safety_on(const TransitionSystem& ts, const SafetySpec& spec,
     const obs::Span span("verify/safety");
     obs::count("verify/obligations/safety");
     const StateSpace& space = ts.space();
+    const bool state_only = spec.state_only();
     for (NodeId n = 0; n < ts.num_nodes(); ++n) {
         const StateIndex s = ts.state_of(n);
         if (!spec.state_allowed(space, s)) {
@@ -90,6 +100,8 @@ CheckResult check_safety_on(const TransitionSystem& ts, const SafetySpec& spec,
                     ts.format_witness(n),
                 ts.witness_trace(n));
         }
+        // A state-only spec allows every transition: no edge to visit.
+        if (state_only) continue;
         for (const auto& e : ts.program_edges(n)) {
             const StateIndex t = ts.state_of(e.to);
             if (!spec.transition_allowed(space, s, t)) {

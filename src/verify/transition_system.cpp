@@ -365,9 +365,6 @@ void TransitionSystem::explore(const FaultClass* faults,
     // run reports (telemetry) embed it, traces cross-reference it.
     const bool timeline = obs::active_sinks() != 0;
     const bool progress_on = obs::progress_enabled();
-    // One count per BFS actually run: snapshot-adopted graphs never pass
-    // here, which is what the service/store smoke tests assert on.
-    obs::count("verify/explorations");
     const obs::Span span("verify/explore");
     const StateIndex n_states = space_->num_states();
     const std::uint64_t explore_t0 = timeline ? obs::now_ns() : 0;
@@ -1124,6 +1121,8 @@ void TransitionSystem::explore(const FaultClass* faults,
     // interner statistics live under verify/interner/ and verify/mem/.
     if (telemetry) {
         auto& reg = obs::Registry::global();
+        // One count per BFS actually run: snapshot-adopted graphs never
+        // pass here, which is what the service/store smoke tests assert on.
         reg.counter("verify/explorations").add(1);
         // Both threshold counters are functions of the canonical BFS (the
         // level sizes), never of the worker budget, so they stay identical

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <barrier>
+#include <thread>
+#include <vector>
+
 #include "common/check.hpp"
+#include "obs/telemetry.hpp"
 
 namespace dcft {
 namespace {
@@ -97,6 +103,78 @@ TEST(PredicateTest, RenamedPreservesSemantics) {
 
 TEST(PredicateTest, NullFunctionRejected) {
     EXPECT_THROW(Predicate("bad", nullptr), ContractError);
+}
+
+/// An opaque predicate (b == 2) that counts its evaluations.
+Predicate counting_pred(std::shared_ptr<std::atomic<std::uint64_t>> calls) {
+    return Predicate("counting",
+                     [calls](const StateSpace& space, StateIndex s) {
+                         calls->fetch_add(1, std::memory_order_relaxed);
+                         return space.get(s, space.num_vars() - 1) == 2;
+                     });
+}
+
+TEST(PredicateMemoTest, EachSpaceIsScannedOnce) {
+    obs::set_enabled(true);
+    obs::Registry::global().reset();
+    auto sp = space2x3();
+    const StateIndex n = sp->num_states();
+    auto calls = std::make_shared<std::atomic<std::uint64_t>>(0);
+    const Predicate p = counting_pred(calls);
+
+    const BitVec first = eval_bits(*sp, p);
+    const Predicate copy = p;  // copies share the memo
+    const BitVec second = eval_bits(*sp, copy, /*n_threads=*/4);
+    EXPECT_EQ(calls->load(), n);
+    EXPECT_EQ(first, second);
+    for (StateIndex s = 0; s < n; ++s)
+        EXPECT_EQ(first.test(s), sp->get(s, 1) == 2);
+    EXPECT_EQ(obs::Registry::global()
+                  .counter("verify/predicate_eval/memo_hits")
+                  .value(),
+              1u);
+    EXPECT_EQ(obs::Registry::global()
+                  .counter("verify/predicate_eval/bulk_scans")
+                  .value(),
+              1u);
+    obs::set_enabled(false);
+
+    // eval itself never consults the memo.
+    EXPECT_TRUE(p.eval(*sp, 5));
+    EXPECT_EQ(calls->load(), n + 1);
+
+    // A second space of the same shape is a different space: rescanned.
+    auto other = space2x3();
+    EXPECT_EQ(eval_bits(*other, p), first);
+    EXPECT_EQ(calls->load(), 2 * n + 1);
+
+    // A renamed copy carries a fresh implementation: rescanned.
+    EXPECT_EQ(eval_bits(*sp, p.renamed("fresh")), first);
+    EXPECT_EQ(calls->load(), 3 * n + 1);
+}
+
+TEST(PredicateMemoTest, ConcurrentFirstCallsRunOneScan) {
+    auto sp = make_space({Variable{"a", 8, {}}, Variable{"b", 8, {}},
+                          Variable{"c", 8, {}}, Variable{"d", 8, {}}});
+    auto calls = std::make_shared<std::atomic<std::uint64_t>>(0);
+    const Predicate p = counting_pred(calls);
+
+    constexpr int kCallers = 8;
+    std::vector<BitVec> results(kCallers);
+    std::barrier start(kCallers);
+    std::vector<std::thread> callers;
+    for (int i = 0; i < kCallers; ++i) {
+        callers.emplace_back([&, i] {
+            start.arrive_and_wait();
+            results[i] = eval_bits(*sp, p, /*n_threads=*/2);
+        });
+    }
+    for (auto& t : callers) t.join();
+    EXPECT_EQ(calls->load(), sp->num_states());
+    for (int i = 0; i < kCallers; ++i) {
+        EXPECT_EQ(results[i], results[0]) << "caller " << i;
+        EXPECT_EQ(results[i].popcount(), sp->num_states() / 8);
+    }
 }
 
 }  // namespace

@@ -6,13 +6,15 @@
 // of target-free nodes, test whether it could be the infinity-set of a
 // fair run (strongly connected; every action enabled at all its states
 // has an internal edge), and take the backward closure. The two answers
-// must agree exactly, on every randomly generated system.
+// must agree exactly, on every randomly generated system, and the leads-to
+// verdicts built on them must match the reference engine's reasons.
 #include <gtest/gtest.h>
 
 #include <deque>
 
 #include "common/rng.hpp"
 #include "verify/fairness.hpp"
+#include "verify/reference.hpp"
 
 namespace dcft {
 namespace {
@@ -171,10 +173,86 @@ TEST_P(FairnessOracleTest, SccEngineMatchesBruteForce) {
         EXPECT_EQ(static_cast<bool>(fast[v]), static_cast<bool>(slow[v]))
             << "node " << v << " state "
             << ts.space().format(ts.state_of(v));
+
+    const auto target_set = std::make_shared<BitVec>(kStates);
+    for (StateIndex s = 0; s < static_cast<StateIndex>(kStates); ++s)
+        if (sys.target[s]) target_set->set(s);
+    const Predicate q = Predicate::from_bits("target", target_set);
+    const reference::RefTransitionSystem ref(sys.program, nullptr,
+                                             Predicate::top());
+    const CheckResult got = check_reaches(ts, q, false);
+    const CheckResult want = reference::ref_check_reaches(ref, q, false);
+    EXPECT_EQ(got.ok, want.ok);
+    EXPECT_EQ(got.reason, want.reason);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FairnessOracleTest,
                          ::testing::Range<std::uint64_t>(1, 41));
+
+// Hand-built cyclic components: a singleton with a self-loop and a
+// two-node cycle, each once feasible (the exit is not continuously
+// enabled, or absent) and once infeasible (an exit enabled at every member
+// state forces the run out). Only cyclic components enter the feasibility
+// test, so these pin both of its outcomes for both kinds of cycle.
+struct CycleCase {
+    const char* name;
+    bool two_node;     ///< 0 <-> 1 cycle; otherwise a self-loop at 0
+    bool exit_always;  ///< exit to 2 enabled at every cycle state
+};
+
+void PrintTo(const CycleCase& c, std::ostream* os) { *os << c.name; }
+
+class CyclicSccTest : public ::testing::TestWithParam<CycleCase> {};
+
+TEST_P(CyclicSccTest, MatchesBruteForceAndReference) {
+    const CycleCase& c = GetParam();
+    auto space = make_space({Variable{"v", 3, {}}});
+    const StateSpace& sp = *space;
+    const Predicate at0 = Predicate::var_eq(sp, "v", 0);
+    const Predicate on_cycle("v<2", [](const StateSpace& s, StateIndex i) {
+        return s.get(i, 0) < 2;
+    });
+    Program p(space, c.name);
+    if (c.two_node) {
+        p.add_action(Action::assign(
+            sp, "toggle", on_cycle, "v",
+            [](const StateSpace& s, StateIndex i) { return 1 - s.get(i, 0); }));
+    } else {
+        p.add_action(Action::skip("spin", at0));
+    }
+    // The exit to v==2 is enabled at every cycle state, or else only at a
+    // state the run can keep leaving (v==0 of the two-node cycle) or never
+    // visits (v==1 next to the self-loop).
+    const Predicate exit_guard =
+        c.exit_always ? (c.two_node ? on_cycle : at0)
+                      : (c.two_node ? at0 : Predicate::var_eq(sp, "v", 1));
+    p.add_action(Action::assign_const(sp, "exit", exit_guard, "v", 2));
+    const Predicate q = Predicate::var_eq(sp, "v", 2);
+    const TransitionSystem ts(p, nullptr, at0);
+    const std::vector<char> target = eval_on_nodes(ts, q);
+    const auto fast = fair_avoidance_set(ts, target);
+    const auto slow = oracle(ts, target);
+    for (NodeId v = 0; v < ts.num_nodes(); ++v)
+        EXPECT_EQ(static_cast<bool>(fast[v]), static_cast<bool>(slow[v]))
+            << c.name << " node " << v;
+
+    const CheckResult got = check_reaches(ts, q, false);
+    const reference::RefTransitionSystem ref(p, nullptr, at0);
+    const CheckResult want = reference::ref_check_reaches(ref, q, false);
+    EXPECT_EQ(got.ok, c.exit_always) << c.name;
+    EXPECT_EQ(got.ok, want.ok) << c.name;
+    EXPECT_EQ(got.reason, want.reason) << c.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cycles, CyclicSccTest,
+    ::testing::Values(CycleCase{"self_loop_feasible", false, false},
+                      CycleCase{"self_loop_infeasible", false, true},
+                      CycleCase{"two_node_feasible", true, false},
+                      CycleCase{"two_node_infeasible", true, true}),
+    [](const ::testing::TestParamInfo<CycleCase>& info) {
+        return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace dcft

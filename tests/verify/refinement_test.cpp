@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "apps/token_ring.hpp"
 #include "gc/composition.hpp"
+#include "verify/reference.hpp"
 
 namespace dcft {
 namespace {
@@ -196,6 +200,101 @@ TEST(RefinesWeakenedTest, GradesDifferInStrictness) {
     EXPECT_TRUE(refines_weakened(p, nullptr, spec, Tolerance::Nonmasking,
                                  from, at(*sp, 3))
                     .ok);
+}
+
+// -- closure on a recorded graph -------------------------------------------
+//
+// refines_spec_on checks closure of `from` on the recorded edges, and skips
+// the edge sweep when `from` holds on every node. A spec that constrains
+// nothing isolates that obligation; its reasons must be the interpreted
+// oracle's (closure sweep, then fault preservation) whether `from` is the
+// node set, a strict superset of it, or the node set less one node.
+
+CheckResult closure_on(const TransitionSystem& ts, const FaultClass* f,
+                       const Predicate& from) {
+    return refines_spec_on(ts, f, ProblemSpec("any", SafetySpec(), {}),
+                           from);
+}
+
+CheckResult ref_closure(const Program& p, const FaultClass* f,
+                        const Predicate& from) {
+    if (CheckResult r = reference::ref_check_closed(p, from); !r) return r;
+    if (f != nullptr) return reference::ref_check_preserved(*f, from);
+    return CheckResult::success();
+}
+
+/// The node set of ts, with `drop` (if any) removed and `add` (if any)
+/// added, as a set-backed predicate.
+Predicate node_set(const TransitionSystem& ts, std::string name,
+                   std::optional<StateIndex> drop = std::nullopt,
+                   std::optional<StateIndex> add = std::nullopt) {
+    auto bits = std::make_shared<BitVec>(ts.state_bits());
+    if (drop) bits->reset(*drop);
+    if (add) bits->set(*add);
+    return Predicate::from_bits(std::move(name), std::move(bits));
+}
+
+TEST(ClosureOnGraphTest, MatchesReferenceOnSmallSpan) {
+    // inc: 0 -> 1 -> 2; the fault jumps 1 -> 4. From v==0 the span is
+    // {0, 1, 2, 4}, discovered in ascending state order.
+    auto sp = counter_space(6);
+    const Program p = incrementer(sp, 2);
+    FaultClass f(sp, "F");
+    f.add_action(Action::assign_const(*sp, "corrupt", at(*sp, 1), "v", 4));
+    const TransitionSystem ts(p, &f, at(*sp, 0));
+    ASSERT_EQ(ts.num_nodes(), 4u);
+
+    struct Case {
+        Predicate from;
+        bool ok;
+    };
+    const std::vector<Case> cases = {
+        {node_set(ts, "span"), true},
+        {node_set(ts, "span+5", std::nullopt, 5), true},
+        {Predicate::top(), true},
+        // Missing a root: nothing enters it, still closed.
+        {node_set(ts, "span-0", 0), true},
+        // Missing a program target: inc leaves the set at 1 -> 2.
+        {node_set(ts, "span-2", 2), false},
+        // Missing a fault target: only the fault step 1 -> 4 leaves it.
+        {node_set(ts, "span-4", 4), false},
+    };
+    for (const Case& c : cases) {
+        const CheckResult got = closure_on(ts, &f, c.from);
+        const CheckResult want = ref_closure(p, &f, c.from);
+        EXPECT_EQ(got.ok, c.ok) << c.from.name();
+        EXPECT_EQ(want.ok, c.ok) << c.from.name();
+        EXPECT_EQ(got.reason, want.reason) << c.from.name();
+    }
+}
+
+TEST(ClosureOnGraphTest, MatchesReferenceOnTokenRing) {
+    const auto sys = apps::make_token_ring(4, 4);
+
+    // The fault span is the node set of its own graph: closed.
+    const TransitionSystem span(sys.ring, &sys.corrupt_any, sys.legitimate);
+    const Predicate t = node_set(span, "T");
+    EXPECT_TRUE(closure_on(span, &sys.corrupt_any, t).ok);
+    EXPECT_TRUE(ref_closure(sys.ring, &sys.corrupt_any, t).ok);
+
+    // The program-only graph from S has node set S; T strictly contains
+    // it and is closed in the program.
+    const TransitionSystem prog(sys.ring, nullptr, sys.legitimate);
+    ASSERT_LT(prog.num_nodes(), span.num_nodes());
+    EXPECT_TRUE(closure_on(prog, nullptr, t).ok);
+    EXPECT_TRUE(ref_closure(sys.ring, nullptr, t).ok);
+
+    // Whole-space graph (node id == state index, so the sweep order is
+    // the oracle's): drop the target of node 0's first program edge.
+    const TransitionSystem all(sys.ring, &sys.corrupt_any, Predicate::top());
+    ASSERT_FALSE(all.program_edges(0).empty());
+    const StateIndex x = all.state_of(all.program_edges(0)[0].to);
+    const Predicate missing = node_set(all, "all-but-one", x);
+    const CheckResult got = closure_on(all, &sys.corrupt_any, missing);
+    const CheckResult want =
+        ref_closure(sys.ring, &sys.corrupt_any, missing);
+    EXPECT_FALSE(got.ok);
+    EXPECT_EQ(got.reason, want.reason);
 }
 
 }  // namespace

@@ -7,11 +7,12 @@
 // (obs/json.hpp), and validates the schema: envelope keys, per-query
 // verdict fields, witness traces with action provenance, non-negative
 // counters, the per-level exploration timeline (levels consecutive from
-// 0, non-empty frontiers), and a properly nested span tree. With --trace
-// it additionally passes `--trace FILE --progress=0.2` to each verify
-// run and validates the Chrome trace-event JSON: every event name is a
-// '/'-separated lower_snake path, timestamps are monotone within each
-// lane (tid), begin/end events balance like a stack per lane, and the
+// 0, non-empty frontiers, one entry per `verify/explorations` count), and
+// a properly nested span tree. With --trace it additionally passes
+// `--trace FILE --progress=0.2` to each verify run and validates the
+// Chrome trace-event JSON: every event name is a '/'-separated
+// lower_snake path, timestamps are monotone within each lane (tid),
+// begin/end events balance like a stack per lane, and the
 // trace carries at least one `verify/explore/level` span per timeline
 // level row in the report. With --graded it passes `--graded` to each
 // verify run and requires every query to carry the graded blocks:
@@ -20,9 +21,10 @@
 // [0,1], stats blocks whose aggregates are numbers or null with a
 // consistent count). Exits non-zero on the first malformed artifact.
 // Registered as the ctest targets `report_check` (token-ring,
-// Byzantine), `trace_smoke` (--trace on token-ring), and
-// `report_check_graded` (--graded on token-ring), so neither the
-// --report, --trace, nor --graded pipeline can rot silently.
+// Byzantine), `report_check_byzantine_4`, `trace_smoke` (--trace on
+// token-ring), and `report_check_graded` (--graded on token-ring), so
+// neither the --report, --trace, nor --graded pipeline can rot silently.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -387,6 +389,17 @@ ReportSummary check_report(const JsonValue& doc, bool graded) {
         require(value.is_number() && value.as_number() >= 0.0,
                 "counter '" + path + "' is not a non-negative number");
     }
+    // Every BFS publishes one timeline entry and counts itself once.
+    const auto found = counters.find("verify/explorations");
+    require(found != counters.end(), "no verify/explorations counter");
+    const auto explorations =
+        static_cast<std::uint64_t>(found->second.as_number());
+    const std::size_t timelines =
+        member(doc, "timeline", JsonValue::Kind::Array).as_array().size();
+    require(explorations == timelines,
+            "verify/explorations is " + std::to_string(explorations) +
+                " but the report has " + std::to_string(timelines) +
+                " timeline entries");
     const auto& spans =
         member(telemetry, "spans", JsonValue::Kind::Array).as_array();
     require(!spans.empty(), "telemetry with no spans");
@@ -421,12 +434,13 @@ int run_system(const std::string& cli, const std::string& spec,
         system = spec.substr(0, colon);
         size = spec.substr(colon + 1);
     }
-    // Distinct artifact per mode so parallel ctest invocations (plain,
-    // --trace, --graded) on the same system never race on one file.
-    const std::string report_path = "report_check_" + system +
-                                    (graded ? "_graded" : "") + ".json";
-    const std::string trace_path =
-        "report_check_" + system + "_trace.json";
+    // Distinct artifact per size and mode so parallel ctest invocations
+    // (plain, --trace, --graded; Byzantine 3 and 4) never race on one file.
+    const std::string stem =
+        "report_check_" + system + (size.empty() ? "" : "_" + size);
+    const std::string report_path =
+        stem + (graded ? "_graded" : "") + ".json";
+    const std::string trace_path = stem + "_trace.json";
     std::string command = "\"" + cli + "\" verify " + system;
     if (!size.empty()) command += " " + size;
     command += " --report " + report_path;
