@@ -15,7 +15,51 @@
 
 namespace dcft::apps {
 
+namespace {
+
+/// The catalog in presentation order, with the smallest size each system
+/// can be built at (sizes are data domains for memory and tmr, channel
+/// capacities for abp, process counts otherwise).
+struct Entry {
+    const char* name;
+    int min_size;
+    bool power_of_two;  ///< barrier: the witness tree is a complete binary tree
+};
+
+constexpr Entry kCatalog[] = {
+    {"memory", 2, false},
+    {"tmr", 2, false},
+    {"byzantine", 2, false},
+    {"token-ring", 2, false},
+    {"spanning-tree", 2, false},
+    {"election", 2, false},
+    {"termination", 2, false},
+    {"barrier", 2, true},
+    {"reset", 2, false},
+    {"abp", 1, false},
+};
+
+/// Throws InputError unless `name` is a catalog entry and `size` is 0 (the
+/// default) or a size the entry can be built at.
+void check_request(const std::string& name, int size) {
+    for (const Entry& e : kCatalog) {
+        if (name != e.name) continue;
+        const bool ok = size == 0 ||
+                        (size >= e.min_size &&
+                         (!e.power_of_two || (size & (size - 1)) == 0));
+        if (!ok)
+            throw InputError(name + " size must be " +
+                             (e.power_of_two ? "a power of two " : "") +
+                             ">= " + std::to_string(e.min_size));
+        return;
+    }
+    throw InputError("unknown system: " + name);
+}
+
+}  // namespace
+
 SystemInstance load_system(const std::string& name, int size) {
+    check_request(name, size);
     SystemInstance out;
     if (name == "memory") {
         auto sys = make_memory_access(size > 0 ? size : 3, 1);
@@ -143,15 +187,17 @@ SystemInstance load_system(const std::string& name, int size) {
                           return s == init;
                       }));
     } else {
-        throw ContractError("unknown system: " + name);
+        throw ContractError("catalog entry without a builder: " + name);
     }
     return out;
 }
 
 const std::vector<std::string>& catalog_names() {
-    static const std::vector<std::string> names = {
-        "memory",      "tmr",     "byzantine", "token-ring", "spanning-tree",
-        "election",    "termination", "barrier", "reset",    "abp"};
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> out;
+        for (const Entry& e : kCatalog) out.emplace_back(e.name);
+        return out;
+    }();
     return names;
 }
 

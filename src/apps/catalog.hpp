@@ -10,6 +10,7 @@
 
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -32,8 +33,17 @@ struct SystemInstance {
     StateIndex initial = 0;
 };
 
+/// A catalog request that names no system, or a size the system cannot be
+/// built at. what() is meant for the user ("token-ring size must be >= 2");
+/// frontends report it as a usage error.
+class InputError : public std::invalid_argument {
+public:
+    using std::invalid_argument::invalid_argument;
+};
+
 /// Builds the named system at `size` (0 = the system's default size).
-/// Throws ContractError for a name outside catalog_names().
+/// Throws InputError, before building anything, for a name outside
+/// catalog_names() or a size below the system's minimum.
 SystemInstance load_system(const std::string& name, int size);
 
 /// The catalog entries, in presentation order.

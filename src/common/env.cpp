@@ -70,4 +70,19 @@ std::optional<std::uint64_t> env_positive_u64(const char* name) {
     return parse_positive_u64(std::getenv(name));
 }
 
+ScopedEnv::ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* previous = std::getenv(name)) previous_ = previous;
+    if (value != nullptr)
+        ::setenv(name, value, 1);
+    else
+        ::unsetenv(name);
+}
+
+ScopedEnv::~ScopedEnv() {
+    if (previous_.has_value())
+        ::setenv(name_.c_str(), previous_->c_str(), 1);
+    else
+        ::unsetenv(name_.c_str());
+}
+
 }  // namespace dcft

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 
 namespace dcft {
 
@@ -51,5 +52,23 @@ std::optional<std::uint64_t> parse_positive_u64(const char* text);
 /// parse_positive_u64 applied to the value of environment variable
 /// `name` (nullopt when unset).
 std::optional<std::uint64_t> env_positive_u64(const char* name);
+
+/// Sets environment variable `name` to `value` (or unsets it when `value`
+/// is null) for the lifetime of the object, then restores the previous
+/// value, or the unset state. The library re-reads its DCFT_* switches on
+/// every build, so a guard scoped around one call pins that call's
+/// configuration. The environment is process-wide: do not race a guard
+/// with threads that read it.
+class ScopedEnv {
+public:
+    ScopedEnv(const char* name, const char* value);
+    ~ScopedEnv();
+    ScopedEnv(const ScopedEnv&) = delete;
+    ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+private:
+    std::string name_;
+    std::optional<std::string> previous_;
+};
 
 }  // namespace dcft

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <utility>
 
+#include "common/env.hpp"
 #include "runtime/fault_injector.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/simulator.hpp"
@@ -24,32 +25,6 @@
 namespace dcft::fuzz {
 
 namespace {
-
-/// Sets an environment variable for the current scope and restores the
-/// previous value (or unsets) on destruction.
-class EnvGuard {
-public:
-    EnvGuard(const char* name, const char* value) : name_(name) {
-        if (const char* prev = std::getenv(name)) {
-            had_prev_ = true;
-            prev_ = prev;
-        }
-        ::setenv(name, value, 1);
-    }
-    ~EnvGuard() {
-        if (had_prev_)
-            ::setenv(name_, prev_.c_str(), 1);
-        else
-            ::unsetenv(name_);
-    }
-    EnvGuard(const EnvGuard&) = delete;
-    EnvGuard& operator=(const EnvGuard&) = delete;
-
-private:
-    const char* name_;
-    bool had_prev_ = false;
-    std::string prev_;
-};
 
 std::string fmt_node(const TransitionSystem& ts, NodeId n) {
     std::ostringstream os;
@@ -301,7 +276,7 @@ std::vector<Divergence> run_oracles(const ProgramSpec& spec,
         // pins the scalar per-state path. Graphs, node numbering, edge
         // order, and witness paths must be bit-identical, serial and
         // chunked alike.
-        const EnvGuard no_batch("DCFT_NO_BATCH", "1");
+        const ScopedEnv no_batch("DCFT_NO_BATCH", "1");
         const TransitionSystem scalar1(sys.program, faults, sys.init, 1);
         if (auto d = first_ts_difference(ts1, scalar1))
             out.push_back({"batch/batched-vs-scalar", *d});
@@ -378,7 +353,7 @@ std::vector<Divergence> run_oracles(const ProgramSpec& spec,
                 }
             }
             if (!exploration_cache_disabled()) {
-                const EnvGuard store_env("DCFT_GRAPH_STORE", dir.c_str());
+                const ScopedEnv store_env("DCFT_GRAPH_STORE", dir.c_str());
                 ExplorationCache& cache = ExplorationCache::global();
                 cache.clear();
                 const auto adopted = cache.get_or_build(
@@ -397,7 +372,7 @@ std::vector<Divergence> run_oracles(const ProgramSpec& spec,
         // A tiny DCFT_DIRECT_MAP_MAX forces the sparse sharded interner at
         // every size; the graph must stay bit-identical, serial and
         // chunked alike.
-        const EnvGuard tiny_map("DCFT_DIRECT_MAP_MAX", "64");
+        const ScopedEnv tiny_map("DCFT_DIRECT_MAP_MAX", "64");
         const TransitionSystem sparse1(sys.program, faults, sys.init, 1);
         if (auto d = first_ts_difference(ts1, sparse1))
             out.push_back({"interner/sparse-vs-direct", *d});
@@ -442,7 +417,7 @@ std::vector<Divergence> run_oracles(const ProgramSpec& spec,
         }
         {
             // Cache-bypass equivalence at a different thread count.
-            const EnvGuard no_cache("DCFT_NO_EXPLORE_CACHE", "1");
+            const ScopedEnv no_cache("DCFT_NO_EXPLORE_CACHE", "1");
             const CheckResult c = check_unreachable(
                 sys.program, faults, sys.init, sys.bad, options.threads);
             if (a.ok != c.ok || a.reason != c.reason ||

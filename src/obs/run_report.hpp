@@ -38,7 +38,7 @@
 // violation_rate, and time_to_violation / time_to_recovery /
 // faults_absorbed as { count, mean, p50, p90, p99 } (null when count 0) }. A "programs" array follows with per-variant kernel
 // coverage (fully compiled vs interpreter-fallback actions, batch
-// eligibility). bench_util.hpp reuses begin_envelope/write_telemetry
+// eligibility). bench_verifier reuses begin_envelope/write_telemetry
 // for "kind": "bench", so BENCH_*.json and run reports parse with the same
 // reader (obs/json.hpp) and validator (tools/report_check).
 #pragma once
@@ -153,7 +153,7 @@ private:
     std::vector<ReportProgram> programs_;
 };
 
-// -- shared-envelope building blocks (used by bench_util.hpp too) ----------
+// -- shared-envelope building blocks (used by bench_verifier too) ----------
 
 /// Opens the envelope object and writes the schema/kind/tool/command
 /// members. The caller appends its payload members and must eventually

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "runtime/simulator.hpp"
+#include "runtime/experiment.hpp"
 #include "verify/fairness.hpp"
 #include "verify/invariant.hpp"
 #include "verify/refinement.hpp"
@@ -102,6 +102,29 @@ TEST(AlternatingBitTest, SimulatedDeliveryUnderHeavyLoss) {
     const RunResult run = sim.run(sys.initial_state(), options);
     EXPECT_TRUE(run.stopped_early);  // three messages through, despite loss
     EXPECT_GT(run.fault_steps, 0u);
+}
+
+TEST(AlternatingBitTest, GoodputDegradesGracefullyUnderLoss) {
+    // Retransmission pays for each loss with a bounded number of steps:
+    // every run gets three messages through within a 10-loss budget, and
+    // the mean steps per delivered message rise with the loss rate.
+    auto sys = make_alternating_bit();
+    double previous = 0;
+    for (const double loss_p : {0.0, 0.1, 0.3, 0.5}) {
+        Experiment ex;
+        ex.program = &sys.protocol;
+        ex.initial = sys.initial_state();
+        ex.runs = 100;
+        ex.options.max_steps = 8000;
+        ex.options.stop_when = Predicate::var_eq(*sys.space, sys.sent, 3);
+        ex.faults = &sys.loss;
+        ex.fault_probability = loss_p;
+        ex.max_faults = 10;
+        const BatchResult r = run_experiment(ex);
+        EXPECT_EQ(r.stopped_early, r.runs) << "loss=" << loss_p;
+        EXPECT_GT(r.steps.mean(), previous) << "loss=" << loss_p;
+        previous = r.steps.mean();
+    }
 }
 
 TEST(AlternatingBitTest, ParameterSweep) {

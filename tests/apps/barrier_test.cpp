@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
+#include "runtime/experiment.hpp"
 #include "verify/component_checker.hpp"
 #include "verify/fairness.hpp"
 #include "verify/invariant.hpp"
@@ -54,23 +55,49 @@ TEST(BarrierTest, WitnessesAreTruthfulInFaultFreeRuns) {
 }
 
 TEST(BarrierTest, TrustingDesignIsNotFailsafeToWitnessCorruption) {
-    auto sys = make_barrier(4);
-    const Predicate inv =
-        reachable_invariant(sys.trusting, start_state(sys));
-    const ToleranceReport r = check_failsafe(
-        sys.trusting, sys.corrupt_witness, sys.spec, inv);
-    EXPECT_FALSE(r.ok());
-    // The failure is a premature release, not some setup artifact.
-    EXPECT_NE(r.reason().find("safety violated"), std::string::npos);
+    for (int n : {2, 4, 8}) {
+        auto sys = make_barrier(n);
+        const Predicate inv =
+            reachable_invariant(sys.trusting, start_state(sys));
+        const ToleranceReport r = check_failsafe(
+            sys.trusting, sys.corrupt_witness, sys.spec, inv);
+        EXPECT_FALSE(r.ok()) << "n=" << n;
+        // The failure is a premature release, not some setup artifact.
+        EXPECT_NE(r.reason().find("safety violated"), std::string::npos)
+            << "n=" << n;
+    }
 }
 
 TEST(BarrierTest, RecheckingDesignIsMaskingToWitnessCorruption) {
-    auto sys = make_barrier(4);
-    const Predicate inv =
-        reachable_invariant(sys.rechecking, start_state(sys));
-    const ToleranceReport r = check_masking(
-        sys.rechecking, sys.corrupt_witness, sys.spec, inv);
-    EXPECT_TRUE(r.ok()) << r.reason();
+    for (int n : {2, 4, 8}) {
+        auto sys = make_barrier(n);
+        const Predicate inv =
+            reachable_invariant(sys.rechecking, start_state(sys));
+        const ToleranceReport r = check_masking(
+            sys.rechecking, sys.corrupt_witness, sys.spec, inv);
+        EXPECT_TRUE(r.ok()) << "n=" << n << ": " << r.reason();
+    }
+}
+
+TEST(BarrierTest, RecheckCostsNoExtraSteps) {
+    // The recheck strengthens a guard and adds no step: both designs
+    // finish the first round in exactly 2n steps (n arrivals, n-1 witness
+    // raises, one release) in every simulated run.
+    for (int n : {4, 8}) {
+        auto sys = make_barrier(n);
+        for (const Program* p : {&sys.trusting, &sys.rechecking}) {
+            Experiment ex;
+            ex.program = p;
+            ex.initial = sys.initial_state();
+            ex.runs = 100;
+            ex.options.max_steps = 10000;
+            ex.options.stop_when = Predicate::var_eq(*sys.space, "round", 1);
+            const BatchResult r = run_experiment(ex);
+            EXPECT_EQ(r.stopped_early, r.runs) << p->name() << " n=" << n;
+            EXPECT_EQ(r.steps.min(), 2.0 * n) << p->name() << " n=" << n;
+            EXPECT_EQ(r.steps.max(), 2.0 * n) << p->name() << " n=" << n;
+        }
+    }
 }
 
 TEST(BarrierTest, ReleaseClearsEverything) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
+#include "runtime/experiment.hpp"
 #include "verify/closure.hpp"
 #include "verify/component_checker.hpp"
 #include "verify/fairness.hpp"
@@ -108,6 +109,35 @@ TEST(DistributedResetTest, DeeperTreeStillWorks) {
     EXPECT_TRUE(
         check_nonmasking(sys.system, sys.corrupt_sessions, sys.spec, inv)
             .ok());
+}
+
+TEST(DistributedResetTest, WaveLatencyTracksSizeNotDepth) {
+    // Simulated from a freshly started wave to the completion witness: in
+    // the interleaving model each process adopts once, so a star and a
+    // chain of n processes take the same steps, and 7 processes take more
+    // than 4.
+    const auto wave_steps = [](const std::vector<int>& parent) {
+        auto sys = make_distributed_reset(parent);
+        StateIndex wave = sys.initial_state();
+        wave = sys.space->set(wave, sys.sn[0], 1);
+        wave = sys.space->set(wave, sys.wc_var, 0);
+        Experiment ex;
+        ex.program = &sys.system;
+        ex.initial = wave;
+        ex.runs = 100;
+        ex.options.max_steps = 10000;
+        ex.options.stop_when = sys.witness;
+        const BatchResult r = run_experiment(ex);
+        EXPECT_EQ(r.stopped_early, r.runs);
+        return r.steps.mean();
+    };
+    const double star4 = wave_steps({0, 0, 0, 0});
+    const double chain4 = wave_steps({0, 0, 1, 2});
+    const double tree7 = wave_steps({0, 0, 0, 1, 1, 2, 2});
+    const double chain7 = wave_steps({0, 0, 1, 2, 3, 4, 5});
+    EXPECT_NEAR(star4, chain4, 0.5);
+    EXPECT_NEAR(tree7, chain7, 0.5);
+    EXPECT_GT(tree7, star4);
 }
 
 TEST(DistributedResetTest, RejectsMalformedTrees) {

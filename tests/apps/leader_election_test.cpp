@@ -6,6 +6,7 @@
 
 #include "common/check.hpp"
 
+#include "recovery.hpp"
 #include "verify/component_checker.hpp"
 #include "verify/refinement.hpp"
 #include "verify/tolerance_checker.hpp"
@@ -70,6 +71,24 @@ TEST(LeaderElectionTest, ChainTopology) {
     EXPECT_TRUE(
         converges(sys.program, nullptr, Predicate::top(), sys.legitimate)
             .ok);
+}
+
+TEST(LeaderElectionTest, RecoveryGrowsWithTreeSize) {
+    // From random corruption of every agg.i and ldr.i on heap-shaped trees,
+    // the mean recovery time grows with the number of nodes.
+    double previous = 0;
+    for (int n : {3, 6, 9}) {
+        std::vector<int> parent(static_cast<std::size_t>(n), 0);
+        for (int i = 1; i < n; ++i)
+            parent[static_cast<std::size_t>(i)] = (i - 1) / 2;
+        auto sys = make_leader_election(parent);
+        std::vector<VarId> vars = sys.agg;
+        vars.insert(vars.end(), sys.ldr.begin(), sys.ldr.end());
+        const double mean =
+            mean_recovery_steps(sys.program, sys.legitimate, vars, 100, 43);
+        EXPECT_GT(mean, previous) << "n=" << n;
+        previous = mean;
+    }
 }
 
 TEST(LeaderElectionTest, BadTreeRejected) {

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "runtime/experiment.hpp"
 #include "verify/component_checker.hpp"
 #include "verify/encapsulation.hpp"
 #include "verify/refinement.hpp"
@@ -27,12 +30,18 @@ TEST_F(MemoryAccessTest, IntolerantRefinesSpecInAbsenceOfFaults) {
     EXPECT_TRUE(refines_spec(sys.intolerant, sys.spec, sys.S).ok);
 }
 
-TEST_F(MemoryAccessTest, IntolerantIsNotFailsafeTolerant) {
+TEST_F(MemoryAccessTest, IntolerantAchievesNoGrade) {
     // Once the page fault removes <addr, val>, the unguarded read returns
-    // an arbitrary value: safety breaks.
-    const ToleranceReport r = check_failsafe(sys.intolerant, sys.page_fault,
-                                             sys.spec, sys.S);
-    EXPECT_FALSE(r.ok());
+    // an arbitrary value: safety breaks, and nothing restores the page.
+    EXPECT_FALSE(
+        check_failsafe(sys.intolerant, sys.page_fault, sys.spec, sys.S)
+            .ok());
+    EXPECT_FALSE(
+        check_nonmasking(sys.intolerant, sys.page_fault, sys.spec, sys.S)
+            .ok());
+    EXPECT_FALSE(
+        check_masking(sys.intolerant, sys.page_fault, sys.spec, sys.S)
+            .ok());
 }
 
 // --- Figure 1: pf is fail-safe tolerant (Theorem 3.6 instance). ---
@@ -195,6 +204,74 @@ TEST_F(MemoryAccessTest, DifferentDomainsAndValues) {
                 << "domain=" << domain << " v=" << v;
         }
     }
+}
+
+// --- The grades as behaviour: seeded simulation under page faults. ---
+
+/// 100 runs of `p` from the initial state, seeded from `base_seed`, with
+/// page faults injected at per-step probability `fault_p` and program-step
+/// safety monitored.
+BatchResult simulate(const MemoryAccessSystem& sys, const Program& p,
+                     double fault_p, std::size_t max_faults,
+                     std::size_t max_steps, std::uint64_t base_seed,
+                     std::optional<Predicate> stop_when = std::nullopt) {
+    Experiment ex;
+    ex.program = &p;
+    ex.initial = sys.initial_state();
+    ex.base_seed = base_seed;
+    ex.runs = 100;
+    ex.options.max_steps = max_steps;
+    ex.options.stop_when = std::move(stop_when);
+    ex.faults = &sys.page_fault;
+    ex.fault_probability = fault_p;
+    ex.max_faults = max_faults;
+    ex.safety = sys.spec.safety();
+    return run_experiment(ex);
+}
+
+TEST_F(MemoryAccessTest, SimulatedGradesUnderPageFaults) {
+    // pf never writes a wrong value but deadlocks once the page is gone;
+    // pn never deadlocks but writes wrong values while it recovers; pm
+    // does neither, at every fault rate.
+    for (const double fault_p : {0.05, 0.1, 0.2, 0.4}) {
+        const BatchResult pf =
+            simulate(sys, sys.failsafe, fault_p, 3, 80, 10000);
+        const BatchResult pn =
+            simulate(sys, sys.nonmasking, fault_p, 3, 80, 10000);
+        const BatchResult pm =
+            simulate(sys, sys.masking, fault_p, 3, 80, 10000);
+        EXPECT_EQ(pf.safety_violations, 0u) << "p=" << fault_p;
+        EXPECT_GT(pf.deadlocked, 0u) << "p=" << fault_p;
+        EXPECT_GT(pn.safety_violations, 0u) << "p=" << fault_p;
+        EXPECT_EQ(pn.deadlocked, 0u) << "p=" << fault_p;
+        EXPECT_EQ(pm.safety_violations, 0u) << "p=" << fault_p;
+        EXPECT_EQ(pm.deadlocked, 0u) << "p=" << fault_p;
+    }
+}
+
+// --- Component-based vs monolithic (the efficiency claim, Section 1). ---
+
+TEST_F(MemoryAccessTest, ComposedMaskingCostsMoreStepsThanMonolithic) {
+    // A monolithic masking read: one atomic action that repairs the page
+    // if needed and reads. It masks too, but is not built from reusable
+    // components; pm pays extra steps (detect, then act) for them.
+    Program mono(sys.space, "monolithic");
+    mono.add_action(Action(
+        "read-with-repair", Predicate::top(),
+        [present = sys.present_var, data = sys.data_var,
+         v = sys.correct_value](const StateSpace& sp, StateIndex s) {
+            return sp.set(sp.set(s, present, 1), data, v);
+        }));
+    EXPECT_TRUE(check_masking(mono, sys.page_fault, sys.spec, sys.S).ok());
+
+    const Predicate goal =
+        Predicate::var_eq(*sys.space, "data", sys.correct_value);
+    const BatchResult composed =
+        simulate(sys, sys.masking, 0.2, 2, 200, 300, goal);
+    const BatchResult monolith = simulate(sys, mono, 0.2, 2, 200, 300, goal);
+    EXPECT_EQ(composed.stopped_early, composed.runs);
+    EXPECT_EQ(monolith.stopped_early, monolith.runs);
+    EXPECT_GT(composed.steps.mean(), monolith.steps.mean());
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include "common/check.hpp"
 #include "gc/composition.hpp"
+#include "runtime/experiment.hpp"
 #include "verify/closure.hpp"
 #include "verify/component_checker.hpp"
 #include "verify/fairness.hpp"
@@ -20,7 +21,7 @@ using apps::make_termination_detection;
 using apps::TerminationDetectionSystem;
 
 TEST(TerminationDetectionTest, DetectorClaimHolds) {
-    for (int n : {2, 3, 4}) {
+    for (int n : {2, 3, 4, 5}) {
         auto sys = make_termination_detection(n);
         const Predicate inv =
             reachable_invariant(sys.system, sys.initial);
@@ -77,6 +78,27 @@ TEST(TerminationDetectionTest, ProbeNeedsAtMostTwoRounds) {
         }
     }
     EXPECT_TRUE(found_done);
+}
+
+TEST(TerminationDetectionTest, DetectionLatencyGrowsWithRingSize) {
+    // Simulated from all-active starts: the steps from all-passive to done
+    // grow with n, since the probe passes the token round the ring.
+    double previous = 0;
+    for (int n : {3, 5, 8, 12}) {
+        auto sys = make_termination_detection(n);
+        Experiment ex;
+        ex.program = &sys.system;
+        ex.initial = sys.initial_state(
+            std::vector<bool>(static_cast<std::size_t>(n), true));
+        ex.runs = 100;
+        ex.options.max_steps = 100000;
+        ex.options.stop_when = sys.done;
+        ex.detector = std::make_pair(sys.done, sys.all_passive);
+        const BatchResult r = run_experiment(ex);
+        EXPECT_EQ(r.stopped_early, r.runs) << "n=" << n;
+        EXPECT_GT(r.detection_latency.mean(), previous) << "n=" << n;
+        previous = r.detection_latency.mean();
+    }
 }
 
 TEST(TerminationDetectionTest, SpuriousActivationBreaksSafeness) {

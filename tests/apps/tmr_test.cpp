@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "runtime/simulator.hpp"
 #include "verify/component_checker.hpp"
 #include "verify/encapsulation.hpp"
 #include "verify/refinement.hpp"
@@ -26,6 +27,9 @@ TEST_F(TmrTest, IntolerantRefinesSpecInAbsenceOfFaults) {
 TEST_F(TmrTest, IntolerantViolatesSafetyUnderCorruption) {
     EXPECT_FALSE(check_failsafe(sys.intolerant, sys.corrupt_one_input,
                                 sys.spec, sys.invariant)
+                     .ok());
+    EXPECT_FALSE(check_masking(sys.intolerant, sys.corrupt_one_input,
+                               sys.spec, sys.invariant)
                      .ok());
 }
 
@@ -118,7 +122,7 @@ TEST_F(TmrTest, MaskedOutputIsAlwaysTheMajorityValue) {
 }
 
 TEST_F(TmrTest, LargerValueDomains) {
-    for (Value domain : {3, 4}) {
+    for (Value domain : {3, 4, 5}) {
         auto sys2 = make_tmr(domain);
         const ToleranceReport r = check_masking(
             sys2.masking, sys2.corrupt_one_input, sys2.spec, sys2.invariant);
@@ -136,6 +140,53 @@ TEST_F(TmrTest, SpanIsAtMostOneCorruption) {
         const Value y = sys.space->get(s, sys.y_var);
         const Value z = sys.space->get(s, sys.z_var);
         EXPECT_TRUE(x == y || y == z || x == z) << sys.space->format(s);
+    }
+}
+
+// --- The construction chain as behaviour: seeded runs under corruption. ---
+
+struct Outcomes {
+    int correct = 0, wrong = 0, stuck = 0;
+};
+
+/// Final outputs of 400 seeded runs of `p`, one input corrupted with
+/// per-step probability `fault_p`, inputs alternating 0/1 by run.
+Outcomes simulate(const TmrSystem& sys, const Program& p, double fault_p) {
+    Outcomes o;
+    RandomScheduler scheduler;
+    for (int i = 0; i < 400; ++i) {
+        Simulator sim(p, scheduler, 77 + static_cast<std::uint64_t>(i));
+        FaultInjector injector(sys.corrupt_one_input, fault_p, 1);
+        sim.set_fault_injector(&injector);
+        RunOptions options;
+        options.max_steps = 40;
+        const StateIndex end =
+            sim.run(sys.initial_state(static_cast<Value>(i % 2)), options)
+                .final_state;
+        if (sys.output_correct.eval(*sys.space, end))
+            ++o.correct;
+        else if (sys.output_unassigned.eval(*sys.space, end))
+            ++o.stuck;
+        else
+            ++o.wrong;
+    }
+    return o;
+}
+
+TEST_F(TmrTest, SimulatedOutcomesUnderCorruption) {
+    // IR outputs wrongly more often as corruption rises; DR;IR turns each
+    // of those wrong outputs into a stall, run for run; the voter
+    // DR;IR || CR outputs correctly in every run.
+    int ir_wrong_before = 0;
+    for (const double fault_p : {0.1, 0.3, 0.6}) {
+        const Outcomes ir = simulate(sys, sys.intolerant, fault_p);
+        const Outcomes dr = simulate(sys, sys.failsafe, fault_p);
+        const Outcomes voter = simulate(sys, sys.masking, fault_p);
+        EXPECT_GT(ir.wrong, ir_wrong_before) << "p=" << fault_p;
+        ir_wrong_before = ir.wrong;
+        EXPECT_EQ(dr.wrong, 0) << "p=" << fault_p;
+        EXPECT_EQ(dr.stuck, ir.wrong) << "p=" << fault_p;
+        EXPECT_EQ(voter.correct, 400) << "p=" << fault_p;
     }
 }
 

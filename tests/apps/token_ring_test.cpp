@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "recovery.hpp"
 #include "verify/component_checker.hpp"
 #include "verify/fairness.hpp"
 #include "verify/refinement.hpp"
@@ -39,34 +40,32 @@ TEST(TokenRingTest, RingIsItsOwnCorrector) {
     EXPECT_TRUE(check_corrector(sys.ring, claim).ok);
 }
 
-TEST(TokenRingTest, SelfStabilizesWhenKAtLeastN) {
-    for (int n = 3; n <= 5; ++n) {
-        auto sys = make_token_ring(n, n);
-        EXPECT_TRUE(
-            converges(sys.ring, nullptr, Predicate::top(), sys.legitimate)
-                .ok)
-            << "n=" << n;
+TEST(TokenRingTest, StabilizesExactlyWhenKAtLeastNMinusOne) {
+    // The sharpened Dijkstra bound: for n >= 3 the unidirectional K-state
+    // ring stabilizes iff K >= n-1. Below it the checker finds a fair
+    // execution that never reaches a legitimate state.
+    for (int n = 3; n <= 6; ++n) {
+        for (Value k = 2; k <= 7; ++k) {
+            auto sys = make_token_ring(n, k);
+            EXPECT_EQ(converges(sys.ring, nullptr, Predicate::top(),
+                                sys.legitimate)
+                          .ok,
+                      k >= n - 1)
+                << "n=" << n << " K=" << k;
+        }
     }
 }
 
-TEST(TokenRingTest, KOneLessThanNStillStabilizes) {
-    // The classical sharpening: K >= n-1 suffices for the unidirectional
-    // K-state ring (n >= 3).
-    for (int n = 4; n <= 5; ++n) {
-        auto sys = make_token_ring(n, n - 1);
-        EXPECT_TRUE(
-            converges(sys.ring, nullptr, Predicate::top(), sys.legitimate)
-                .ok)
-            << "n=" << n;
-    }
-}
-
-TEST(TokenRingTest, TooSmallKFailsToStabilize) {
-    // K = n-2 admits a fair execution that never reaches a legitimate
-    // state: the checker finds it.
-    auto sys = make_token_ring(5, 3);
-    EXPECT_FALSE(
-        converges(sys.ring, nullptr, Predicate::top(), sys.legitimate).ok);
+TEST(TokenRingTest, StabilizationTimeGrowsSuperlinearly) {
+    // From uniformly random states (K = n), the mean steps to a legitimate
+    // state grow faster than the ring: 3x the processes, over 3x the time.
+    auto small = make_token_ring(5, 5);
+    auto large = make_token_ring(15, 15);
+    const double small_mean =
+        mean_recovery_steps(small.ring, small.legitimate, small.x, 100, 17);
+    const double large_mean =
+        mean_recovery_steps(large.ring, large.legitimate, large.x, 100, 17);
+    EXPECT_GT(large_mean, 3.0 * small_mean);
 }
 
 TEST(TokenRingTest, NonmaskingTolerantToCounterCorruption) {

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/memory_access.hpp"
 #include "apps/tmr.hpp"
+#include "common/env.hpp"
+#include "obs/telemetry.hpp"
+#include "verify/exploration_cache.hpp"
 #include "verify/tolerance_checker.hpp"
 
 namespace dcft {
@@ -148,6 +152,37 @@ TEST(MaskingSynthesisTest, TmrSynthesisMatchesPaperConstruction) {
     const ToleranceReport hand = check_masking(
         sys.masking, sys.corrupt_one_input, sys.spec, sys.invariant);
     EXPECT_TRUE(hand.ok()) << hand.reason();
+}
+
+TEST(MaskingSynthesisTest, MemoryAccessSynthesisBuildsEachGraphOnce) {
+    // add_masking on the intolerant read passes the same masking check as
+    // the hand-built pm. The synthesis query and its check ask for the
+    // same graphs repeatedly; the exploration cache explores each distinct
+    // graph once, so a repeated check explores nothing.
+    const ScopedEnv cache_on("DCFT_NO_EXPLORE_CACHE", nullptr);
+    const bool was_enabled = obs::enabled();
+    obs::set_enabled(true);
+    auto& reg = obs::Registry::global();
+    const auto counter = [&reg](const char* path) {
+        return reg.counter(path).value();
+    };
+    ExplorationCache::global().clear();
+    const std::uint64_t explored0 = counter("verify/explorations");
+    const std::uint64_t misses0 = counter("verify/explore_cache/misses");
+
+    auto mem = apps::make_memory_access();
+    const MaskingSynthesis mk = add_masking(mem.intolerant, mem.page_fault,
+                                            mem.spec.safety(), mem.S);
+    EXPECT_TRUE(mk.complete);
+    EXPECT_TRUE(
+        check_masking(mk.program, mem.page_fault, mem.spec, mem.S).ok());
+    const std::uint64_t explored = counter("verify/explorations");
+    EXPECT_EQ(explored - explored0,
+              counter("verify/explore_cache/misses") - misses0);
+    EXPECT_TRUE(
+        check_masking(mk.program, mem.page_fault, mem.spec, mem.S).ok());
+    EXPECT_EQ(counter("verify/explorations"), explored);
+    obs::set_enabled(was_enabled);
 }
 
 }  // namespace

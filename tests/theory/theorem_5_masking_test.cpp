@@ -3,6 +3,9 @@
 // contain both kinds of components.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <tuple>
+
 #include "apps/byzantine.hpp"
 #include "apps/memory_access.hpp"
 #include "apps/tmr.hpp"
@@ -79,6 +82,50 @@ TEST(Theorem52Test, HoldsAcrossTheExampleSuite) {
         }
     }
     EXPECT_TRUE(some_masking);  // the suite exercises the masking row
+}
+
+TEST(Theorem52Test, GradeLatticeOverEverySingleJumpFault) {
+    // Reference program: climb v from 0 to the goal 6; v = 7 is forbidden.
+    // Each fault class is one jump v == a --> v := b (a <= goal, a != b).
+    // Over all 49 classes the verdicts populate only (fs, nm, mk) =
+    // (yes, yes, yes) and (no, no, no): fs && nm <=> mk, with jumps to the
+    // forbidden state the only failures.
+    const Value goal = 6, forbidden = 7;
+    auto space = make_space({Variable{"v", forbidden + 1, {}}});
+    Program climb(space, "climb");
+    climb.add_action(Action::assign(
+        *space, "inc",
+        Predicate("v<goal",
+                  [goal](const StateSpace& sp, StateIndex s) {
+                      return sp.get(s, 0) < goal;
+                  }),
+        "v",
+        [](const StateSpace& sp, StateIndex s) { return sp.get(s, 0) + 1; }));
+    LivenessSpec live;
+    live.add_eventually(Predicate::var_eq(*space, "v", goal));
+    const ProblemSpec spec(
+        "climb-spec",
+        SafetySpec::never(Predicate::var_eq(*space, "v", forbidden)),
+        std::move(live));
+    const Predicate inv("v<=goal", [goal](const StateSpace&, StateIndex s) {
+        return static_cast<Value>(s) <= goal;
+    });
+
+    std::map<std::tuple<bool, bool, bool>, int> populations;
+    for (Value a = 0; a <= goal; ++a) {
+        for (Value b = 0; b <= forbidden; ++b) {
+            if (a == b) continue;
+            FaultClass jump(space, "jump");
+            jump.add_action(Action::assign_const(
+                *space, "jump", Predicate::var_eq(*space, "v", a), "v", b));
+            ++populations[{check_failsafe(climb, jump, spec, inv).ok(),
+                           check_nonmasking(climb, jump, spec, inv).ok(),
+                           check_masking(climb, jump, spec, inv).ok()}];
+        }
+    }
+    const std::map<std::tuple<bool, bool, bool>, int> expected = {
+        {{true, true, true}, 42}, {{false, false, false}, 7}};
+    EXPECT_EQ(populations, expected);
 }
 
 TEST(Theorem55Test, MemoryAccessConclusions) {

@@ -14,42 +14,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 
 #include "apps/token_ring.hpp"
+#include "common/env.hpp"
+#include "verify/spill.hpp"
 #include "verify/transition_system.hpp"
 
 namespace dcft {
 namespace {
-
-/// Sets an environment variable for the current scope and restores the
-/// previous value (or unsets) on destruction. The explorer re-reads its
-/// DCFT_* switches on every build, so scoping a guard around one
-/// construction is enough to pin that build's configuration.
-class EnvGuard {
-public:
-    EnvGuard(const char* name, const char* value) : name_(name) {
-        if (const char* prev = std::getenv(name)) {
-            had_prev_ = true;
-            prev_ = prev;
-        }
-        ::setenv(name, value, 1);
-    }
-    ~EnvGuard() {
-        if (had_prev_)
-            ::setenv(name_, prev_.c_str(), 1);
-        else
-            ::unsetenv(name_);
-    }
-    EnvGuard(const EnvGuard&) = delete;
-    EnvGuard& operator=(const EnvGuard&) = delete;
-
-private:
-    const char* name_;
-    bool had_prev_ = false;
-    std::string prev_;
-};
 
 /// Asserts two transition systems are bit-for-bit identical: numbering,
 /// roots, edge lists (order included), witness paths, predecessor rows.
@@ -102,7 +75,7 @@ TEST(BatchVsScalarTest, TailBlockIdentitySweep) {
         FaultClass* faults = with_faults ? &sys.corrupt_any : nullptr;
         const TransitionSystem batched(sys.ring, faults, Predicate::top(),
                                        /*n_threads=*/1);
-        EnvGuard no_batch("DCFT_NO_BATCH", "1");
+        ScopedEnv no_batch("DCFT_NO_BATCH", "1");
         const TransitionSystem scalar(sys.ring, faults, Predicate::top(), 1);
         expect_identical(batched, scalar);
     }
@@ -114,7 +87,7 @@ TEST(BatchVsScalarTest, ExactBlockMultipleIdentitySweep) {
     auto sys = apps::make_token_ring(4, 4);
     const TransitionSystem batched(sys.ring, &sys.corrupt_any,
                                    Predicate::top(), 1);
-    EnvGuard no_batch("DCFT_NO_BATCH", "1");
+    ScopedEnv no_batch("DCFT_NO_BATCH", "1");
     const TransitionSystem scalar(sys.ring, &sys.corrupt_any,
                                   Predicate::top(), 1);
     expect_identical(batched, scalar);
@@ -130,7 +103,7 @@ TEST(BatchVsScalarTest, FrontierExpansionFromSingleRoot) {
         return s == root;
     });
     const TransitionSystem batched(sys.ring, &sys.corrupt_any, init, 1);
-    EnvGuard no_batch("DCFT_NO_BATCH", "1");
+    ScopedEnv no_batch("DCFT_NO_BATCH", "1");
     const TransitionSystem scalar(sys.ring, &sys.corrupt_any, init, 1);
     expect_identical(batched, scalar);
 }
@@ -151,8 +124,10 @@ TEST(SpillIdentityTest, SpillAndReloadAcrossThreadCounts) {
                                    Predicate::top(), 1);
     // Under an ambient DCFT_SPILL=1 (the spill ablation run) the baseline
     // build spills too; the identity check below still holds.
-    if (std::getenv("DCFT_SPILL") == nullptr) EXPECT_FALSE(in_core.spilled());
-    EnvGuard force_parallel("DCFT_PARALLEL_WORK_MIN", "1");
+    if (!spill_enabled()) {
+        EXPECT_FALSE(in_core.spilled());
+    }
+    ScopedEnv force_parallel("DCFT_PARALLEL_WORK_MIN", "1");
     for (const unsigned threads : {1u, 2u, 8u}) {
         ExploreOptions opts;
         opts.n_threads = threads;
@@ -192,7 +167,7 @@ TEST(SpillIdentityTest, LargeRingOutOfCoreBitIdentical) {
     auto sys = apps::make_token_ring(8, 5);
     const TransitionSystem in_core(sys.ring, nullptr, Predicate::top(), 1);
     ASSERT_EQ(in_core.num_nodes(), 390625u);
-    EnvGuard force_parallel("DCFT_PARALLEL_WORK_MIN", "1");
+    ScopedEnv force_parallel("DCFT_PARALLEL_WORK_MIN", "1");
     for (const unsigned threads : {1u, 2u}) {
         ExploreOptions opts;
         opts.n_threads = threads;

@@ -17,37 +17,15 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <string>
 
 #include "apps/token_ring.hpp"
+#include "common/env.hpp"
 #include "verify/exploration_cache.hpp"
 #include "verify/graph_store.hpp"
 
 namespace dcft {
 namespace {
-
-/// Scoped environment override restoring the previous value on exit.
-class EnvGuard {
-public:
-    EnvGuard(const char* name, const char* value) : name_(name) {
-        if (const char* prev = ::getenv(name)) prev_ = prev;
-        if (value != nullptr)
-            ::setenv(name, value, 1);
-        else
-            ::unsetenv(name);
-    }
-    ~EnvGuard() {
-        if (prev_.has_value())
-            ::setenv(name_, prev_->c_str(), 1);
-        else
-            ::unsetenv(name_);
-    }
-
-private:
-    const char* name_;
-    std::optional<std::string> prev_;
-};
 
 /// A fresh store directory, removed with its contents on destruction.
 class TempStore {
@@ -269,8 +247,8 @@ TEST(GraphStoreTest, ByteBudgetEvictsLeastRecentlyUsed) {
 
 TEST(GraphStoreTest, ExplorationCacheServesRepeatQueriesFromStore) {
     TempStore tmp;
-    EnvGuard store_env("DCFT_GRAPH_STORE", tmp.dir().c_str());
-    EnvGuard cache_env("DCFT_NO_EXPLORE_CACHE", nullptr);
+    ScopedEnv store_env("DCFT_GRAPH_STORE", tmp.dir().c_str());
+    ScopedEnv cache_env("DCFT_NO_EXPLORE_CACHE", nullptr);
     auto& cache = ExplorationCache::global();
     cache.clear();
 
@@ -308,8 +286,8 @@ TEST(GraphStoreTest, ExplorationCacheServesRepeatQueriesFromStore) {
 }
 
 TEST(GraphStoreTest, ExplorationCacheByteBudgetEvictsReadyEntries) {
-    EnvGuard bytes_env("DCFT_EXPLORE_CACHE_BYTES", "1");  // evict ~all
-    EnvGuard store_env("DCFT_GRAPH_STORE", nullptr);
+    ScopedEnv bytes_env("DCFT_EXPLORE_CACHE_BYTES", "1");  // evict ~all
+    ScopedEnv store_env("DCFT_GRAPH_STORE", nullptr);
     auto& cache = ExplorationCache::global();
     cache.clear();
 
@@ -325,7 +303,7 @@ TEST(GraphStoreTest, ExplorationCacheByteBudgetEvictsReadyEntries) {
     // And without a budget the same pair coexists.
     cache.clear();
     {
-        EnvGuard no_budget("DCFT_EXPLORE_CACHE_BYTES", nullptr);
+        ScopedEnv no_budget("DCFT_EXPLORE_CACHE_BYTES", nullptr);
         const auto c = cache.get_or_build(sys.ring, &sys.corrupt_any,
                                           Predicate::top());
         const auto d =

@@ -6,11 +6,11 @@
 // verdicts agree with full-graph scans.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "apps/token_ring.hpp"
+#include "common/env.hpp"
 #include "spec/safety_spec.hpp"
 #include "verify/closure.hpp"
 #include "verify/exploration_cache.hpp"
@@ -21,34 +21,6 @@
 
 namespace dcft {
 namespace {
-
-/// Scoped environment override restoring the previous value on exit.
-class EnvVarGuard {
-public:
-    EnvVarGuard(const char* name, const char* value) : name_(name) {
-        if (const char* old = std::getenv(name)) {
-            had_ = true;
-            old_ = old;
-        }
-        if (value != nullptr)
-            ::setenv(name, value, 1);
-        else
-            ::unsetenv(name);
-    }
-    ~EnvVarGuard() {
-        if (had_)
-            ::setenv(name_.c_str(), old_.c_str(), 1);
-        else
-            ::unsetenv(name_.c_str());
-    }
-    EnvVarGuard(const EnvVarGuard&) = delete;
-    EnvVarGuard& operator=(const EnvVarGuard&) = delete;
-
-private:
-    std::string name_;
-    bool had_ = false;
-    std::string old_;
-};
 
 /// Full structural equality: numbering, roots, edges, witnesses.
 void expect_identical(const TransitionSystem& a, const TransitionSystem& b) {
@@ -96,7 +68,7 @@ TEST(SparseInternerTest, SparseAndDirectMappedGraphsAreIdentical) {
     ASSERT_TRUE(direct.complete());
 
     // Force the sparse sharded table at every size.
-    const EnvVarGuard force("DCFT_DIRECT_MAP_MAX", "1024");
+    const ScopedEnv force("DCFT_DIRECT_MAP_MAX", "1024");
     for (const unsigned threads : {1u, 2u, 8u}) {
         const TransitionSystem sparse(sys.ring, &sys.corrupt_any,
                                       sys.legitimate, threads);
@@ -178,10 +150,10 @@ TEST(EarlyExitTest, CheckUnreachableMatchesFullGraphScan) {
     ASSERT_NE(b, TransitionSystem::kNoNode);
 
     for (const char* threads : {"1", "2", "8"}) {
-        const EnvVarGuard tg("DCFT_VERIFIER_THREADS", threads);
+        const ScopedEnv tg("DCFT_VERIFIER_THREADS", threads);
         for (const char* bypass :
              {static_cast<const char*>(nullptr), "1"}) {
-            const EnvVarGuard cg("DCFT_NO_EXPLORE_CACHE", bypass);
+            const ScopedEnv cg("DCFT_NO_EXPLORE_CACHE", bypass);
             ExplorationCache::global().clear();
             const CheckResult r = check_unreachable(
                 sys.ring, &sys.corrupt_any, sys.legitimate, bad);
@@ -236,7 +208,7 @@ TEST(EarlyExitTest, FailsafeToleranceEarlyExitMatchesDefaultPipeline) {
     ASSERT_TRUE(sys.spec.safety().state_only());
 
     for (const char* threads : {"1", "2", "8"}) {
-        const EnvVarGuard tg("DCFT_VERIFIER_THREADS", threads);
+        const ScopedEnv tg("DCFT_VERIFIER_THREADS", threads);
         ExplorationCache::global().clear();
         const ToleranceReport slow = check_tolerance(
             sys.ring, sys.corrupt_any, sys.spec, sys.legitimate,

@@ -8,42 +8,16 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "apps/memory_access.hpp"
+#include "common/env.hpp"
 #include "verify/exploration_cache.hpp"
 #include "verify/tolerance_checker.hpp"
 
 namespace dcft {
 namespace {
-
-/// Scoped environment override restoring the previous value on exit.
-class EnvVarGuard {
-public:
-    EnvVarGuard(const char* name, const char* value) : name_(name) {
-        if (const char* old = std::getenv(name)) {
-            had_ = true;
-            old_ = old;
-        }
-        if (value != nullptr)
-            ::setenv(name, value, 1);
-        else
-            ::unsetenv(name);
-    }
-    ~EnvVarGuard() {
-        if (had_)
-            ::setenv(name_.c_str(), old_.c_str(), 1);
-        else
-            ::unsetenv(name_.c_str());
-    }
-
-private:
-    std::string name_;
-    bool had_ = false;
-    std::string old_;
-};
 
 std::shared_ptr<const StateSpace> counter_space() {
     return make_space({Variable{"v", 5, {}}});
@@ -220,7 +194,7 @@ TEST(MaskingDistanceTest, BitIdenticalAcrossExplorationThreads) {
     MaskingDistanceResult base;
     bool first = true;
     for (const char* threads : {"1", "2", "8"}) {
-        const EnvVarGuard tg("DCFT_VERIFIER_THREADS", threads);
+        const ScopedEnv tg("DCFT_VERIFIER_THREADS", threads);
         ExplorationCache::global().clear();
         const MaskingDistanceResult r = masking_distance(
             sys.program, sys.faults, sys.spec, sys.invariant);

@@ -559,6 +559,9 @@ int main(int argc, char** argv) {
 
         return is_verify ? cmd_verify(system, size, flags)
                          : cmd_simulate(system, size, flags);
+    } catch (const apps::InputError& error) {
+        std::fprintf(stderr, "error: %s\n", error.what());
+        return 2;
     } catch (const std::exception& error) {
         std::fprintf(stderr, "error: %s\n", error.what());
         return 1;

@@ -12,7 +12,8 @@
 //    distinct query does explore.
 //  * Protocol: ping/list/stats answer ok with well-formed envelopes;
 //    malformed input gets an error response without dropping the
-//    connection's server, and so does a line past the 64 KiB cap.
+//    connection's server, and so does a line past the 64 KiB cap; an
+//    undersized system gets the catalog's input error as its text.
 //  * Sockets: a stale socket file left by a crashed daemon does not
 //    block startup (probe-connect finds it dead, unlinks, binds); a
 //    second daemon on a LIVE socket refuses to start and leaves the
@@ -228,6 +229,15 @@ int main() {
     check(!response_ok(bad) &&
               bad.find("error", JsonValue::Kind::String) != nullptr,
           "malformed input gets an error response");
+    const JsonValue undersized = ask(
+        socket_path, R"({"op":"verify","system":"token-ring","size":1})");
+    const auto* size_error =
+        undersized.find("error", JsonValue::Kind::String);
+    check(!response_ok(undersized) && size_error != nullptr &&
+              size_error->as_string() == "token-ring size must be >= 2",
+          "an undersized system gets the catalog's input error (got '" +
+              (size_error ? size_error->as_string() : std::string()) +
+              "')");
     const JsonValue too_long = ask(socket_path, std::string(70000, 'x'));
     const auto* cap_error = too_long.find("error", JsonValue::Kind::String);
     check(cap_error != nullptr &&
